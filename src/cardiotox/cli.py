@@ -38,8 +38,6 @@ from .pipeline import (
     SubModel,
     SvmConfig,
     ToxTreePipeline,
-    build_herg_pipeline,
-    build_nav_pipeline,
     herg_rf_space,
     pipeline_predict,
     svm_space,
@@ -343,29 +341,7 @@ def cmd_train(args) -> int:
                   f"(AC_cv {mx.format_percent(tuning.best.ac_cv)}, F1_cv {mx.format_percent(tuning.best.f1_cv)})")
         stage_objs.append(members[0] if len(members) == 1 else ConsensusPair(members[0], members[1]))
 
-    if (
-        resample_flag is None
-        and tuple(thresholds) == DEFAULT_THRESHOLDS
-        and target == "herg"
-    ):
-        models = {}
-        for stage in stage_objs:
-            if isinstance(stage, ConsensusPair):
-                models[stage.model_a.name] = stage.model_a.model
-                models[stage.model_b.name] = stage.model_b.model
-            else:
-                models[stage.name] = stage.model
-        pipeline = build_herg_pipeline(models, whitelist, scaler)
-    elif (
-        resample_flag is None
-        and tuple(thresholds) == DEFAULT_THRESHOLDS
-        and target == "nav15"
-    ):
-        models = {stage.name: stage.model for stage in stage_objs}
-        pipeline = build_nav_pipeline(scaler, pca, models, whitelist)
-    else:
-        chain = PreprocessChain(list(whitelist), scaler, pca)
-        pipeline = ToxTreePipeline(chain, stage_objs)
+    pipeline = ToxTreePipeline(PreprocessChain(list(whitelist), scaler, pca), stage_objs)
 
     bundle_path = out / f"{target}-toxtree{persistence.BUNDLE_EXTENSION}"
     persistence.save_bundle(

@@ -5,8 +5,7 @@ from typing import Union
 
 from .forest import (
     ForestModel,
-    ForestRegressorModel,
-    TreeNode,
+    Tree,
     forest_fit,
     forest_predict,
     forest_predict_many,
@@ -37,12 +36,11 @@ from .svm import (
     svm_predict,
 )
 
-TrainedModel = Union[ForestModel, ForestRegressorModel, SvmModel, MlpModel, RidgeModel]
+TrainedModel = Union[ForestModel, SvmModel, MlpModel, RidgeModel]
 
 __all__ = [
     "BatchNormParams",
     "ForestModel",
-    "ForestRegressorModel",
     "KernelSpec",
     "MlpModel",
     "RidgeModel",
@@ -50,7 +48,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainedModel",
-    "TreeNode",
+    "Tree",
     "forest_fit",
     "forest_predict",
     "forest_predict_many",

@@ -18,24 +18,57 @@ from ..errors import InvalidInputError
 
 
 @dataclass
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (counts / value)."""
+class Tree:
+    """One tree as parallel node arrays in preorder; node 0 is the root.
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    class_counts: np.ndarray | None = None  # classifier leaves
-    value: float | None = None  # regressor leaves
+    ``feature`` is -1 at leaves, where ``threshold``, ``left`` and ``right``
+    are unused. ``value`` holds each node's class counts (n_nodes x n_classes)
+    for classifiers, or its target mean (n_nodes,) for regressors; predictions
+    read it at leaves. Children always have larger indices than their parent,
+    so every walk from the root ends at a leaf. The arrays are read-only once
+    the tree is built: prediction walks copies taken at construction.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.threshold = np.asarray(self.threshold, dtype=float)
+        self.left = np.asarray(self.left, dtype=np.int64)
+        self.right = np.asarray(self.right, dtype=np.int64)
+        self.value = np.asarray(self.value)
+        n = self.feature.shape[0]
+        arrays = (self.feature, self.threshold, self.left, self.right)
+        if n == 0 or any(a.shape != (n,) for a in arrays) or self.value.shape[:1] != (n,):
+            raise InvalidInputError("tree node arrays must be non-empty and of equal length")
+        if np.any(self.feature < -1):
+            raise InvalidInputError("tree feature indices must be -1 (leaf) or nonnegative")
+        inner = np.flatnonzero(self.feature >= 0)
+        for child in (self.left[inner], self.right[inner]):
+            if np.any(child <= inner) or np.any(child >= n):
+                raise InvalidInputError("tree children must follow their parent and stay below the node count")
+        # The per-row walk reads plain lists (numpy scalar indexing is slower),
+        # and each node's output (winning class or mean) is derived once here.
+        self._nodes = (self.feature.tolist(), self.threshold.tolist(), self.left.tolist(), self.right.tolist())
+        self._output = (self.value.argmax(axis=1) if self.value.ndim == 2 else self.value).tolist()
 
     def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+        depth = np.zeros(len(self.feature), dtype=int)
+        for i in np.flatnonzero(self.feature >= 0):  # parents precede children
+            depth[self.left[i]] = depth[self.right[i]] = depth[i] + 1
+        return int(depth.max())
+
+    def predict(self, row: list[float]):
+        """Winning class (classifier) or mean (regressor) of the leaf ``row`` reaches."""
+        feature, threshold, left, right = self._nodes
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+        return self._output[node]
 
 
 def _gini_from_counts(counts: np.ndarray, total: int) -> float:
@@ -119,11 +152,11 @@ def tree_fit(
     rng: np.random.Generator,
     n_classes: int | None = None,
     regression: bool = False,
-) -> TreeNode:
+) -> Tree:
     """Grow one tree by recursive best-gain splits over a random feature subset.
 
     Stops on max_depth, pure nodes, nodes smaller than min_leaf, or when no
-    split improves the criterion.
+    split improves the criterion. Nodes are written in preorder.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
@@ -137,14 +170,16 @@ def tree_fit(
         y = y.astype(float)
     d = x.shape[1]
     features_per_split = min(max(features_per_split, 1), d)
-
-    def make_leaf(yy):
-        if regression:
-            return TreeNode(value=_leaf_mean(yy))
-        return TreeNode(class_counts=np.bincount(yy, minlength=n_classes))
+    feature, threshold, left, right, value = [], [], [], [], []
 
     def grow(idx, depth):
+        node = len(feature)
         yy = y[idx]
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(_leaf_mean(yy) if regression else np.bincount(yy, minlength=n_classes))
         pure = np.all(yy == yy[0])
         if (
             pure
@@ -152,59 +187,55 @@ def tree_fit(
             or len(idx) < min_leaf
             or len(idx) < 2
         ):
-            return make_leaf(yy)
+            return node
         if features_per_split < d:
             feats = np.sort(rng.choice(d, size=features_per_split, replace=False))
         else:
             feats = np.arange(d)
         xx = x[idx]
         if regression:
-            f, threshold, gain = _best_sse_split(xx, yy, feats)
+            f, split, gain = _best_sse_split(xx, yy, feats)
         else:
-            f, threshold, gain = _best_gini_split(xx, yy, n_classes, feats)
+            f, split, gain = _best_gini_split(xx, yy, n_classes, feats)
         if f is None or gain <= 0.0:
-            return make_leaf(yy)
-        go_left = xx[:, f] <= threshold
-        node = TreeNode(feature=int(f), threshold=float(threshold))
-        node.left = grow(idx[go_left], depth + 1)
-        node.right = grow(idx[~go_left], depth + 1)
+            return node
+        go_left = xx[:, f] <= split
+        feature[node] = int(f)
+        threshold[node] = float(split)
+        left[node] = grow(idx[go_left], depth + 1)
+        right[node] = grow(idx[~go_left], depth + 1)
         return node
 
-    return grow(np.arange(x.shape[0]), 0)
-
-
-def _tree_apply(node: TreeNode, row: np.ndarray) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
+    grow(np.arange(x.shape[0]), 0)
+    return Tree(feature, threshold, left, right, np.array(value, dtype=float if regression else np.int64))
 
 
 @dataclass
 class ForestModel:
-    """Bagged Gini-tree ensemble voting over class indices."""
+    """Bagged tree ensemble.
 
-    trees: list[TreeNode]
+    Classifiers (``n_classes`` set) vote over class indices with Gini trees;
+    regressors (``n_classes`` None) average squared-error trees' leaf means.
+    """
+
+    trees: list[Tree]
     n_estimators: int
     max_depth: int | None
     features_per_split: int
     seed: int
     n_features: int
-    n_classes: int
+    n_classes: int | None
     min_leaf: int = 2
 
-    def observed_max_depth(self) -> int:
-        return max(t.depth() for t in self.trees)
-
-
-@dataclass
-class ForestRegressorModel:
-    trees: list[TreeNode]
-    n_estimators: int
-    max_depth: int | None
-    features_per_split: int
-    seed: int
-    n_features: int
-    min_leaf: int = 2
+    def __post_init__(self):
+        if len(self.trees) != self.n_estimators:
+            raise InvalidInputError(f"forest has {len(self.trees)} trees but n_estimators={self.n_estimators}")
+        value_shape = () if self.n_classes is None else (self.n_classes,)
+        for tree in self.trees:
+            if tree.feature.max() >= self.n_features:
+                raise InvalidInputError(f"tree splits on a feature outside the model's {self.n_features}")
+            if tree.value.shape[1:] != value_shape:
+                raise InvalidInputError(f"tree values have shape {tree.value.shape[1:]}, expected {value_shape}")
 
     def observed_max_depth(self) -> int:
         return max(t.depth() for t in self.trees)
@@ -212,6 +243,31 @@ class ForestRegressorModel:
 
 def _default_features_per_split(d: int) -> int:
     return max(1, math.ceil(math.sqrt(d)))
+
+
+def _fit_forest(
+    x, y, n_classes, n_estimators, max_depth, seed, features_per_split, min_leaf, threads
+) -> ForestModel:
+    """Fit n_estimators trees, each on its own N-row bootstrap; n_classes None
+    grows regression trees."""
+    if n_estimators < 1:
+        raise InvalidInputError("n_estimators must be at least 1")
+    d = x.shape[1]
+    fps = features_per_split if features_per_split is not None else _default_features_per_split(d)
+
+    def build(i: int) -> Tree:
+        rng = np.random.default_rng((seed, i))
+        boot = rng.integers(0, x.shape[0], x.shape[0])
+        return tree_fit(
+            x[boot], y[boot], max_depth, min_leaf, fps, rng, n_classes=n_classes, regression=n_classes is None
+        )
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            trees = list(pool.map(build, range(n_estimators)))
+    else:
+        trees = [build(i) for i in range(n_estimators)]
+    return ForestModel(trees, n_estimators, max_depth, fps, seed, d, n_classes, min_leaf)
 
 
 def forest_fit(
@@ -223,42 +279,51 @@ def forest_fit(
     min_leaf: int = 2,
     threads: int = 1,
 ) -> ForestModel:
-    """Fit n_estimators trees, each on its own N-row bootstrap."""
-    if n_estimators < 1:
-        raise InvalidInputError("n_estimators must be at least 1")
-    x = dataset.matrix
-    y = dataset.labels
-    if x.shape[0] == 0:
+    """Gini classification forest over the dataset's class indices."""
+    if dataset.matrix.shape[0] == 0:
         raise InvalidInputError("cannot fit a forest on an empty dataset")
-    d = x.shape[1]
-    fps = features_per_split if features_per_split is not None else _default_features_per_split(d)
-    n_classes = len(dataset.class_names)
-
-    def build(i: int) -> TreeNode:
-        rng = np.random.default_rng((seed, i))
-        boot = rng.integers(0, x.shape[0], x.shape[0])
-        return tree_fit(x[boot], y[boot], max_depth, min_leaf, fps, rng, n_classes=n_classes)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(n_estimators)))
-    else:
-        trees = [build(i) for i in range(n_estimators)]
-    return ForestModel(trees, n_estimators, max_depth, fps, seed, d, n_classes, min_leaf)
+    return _fit_forest(
+        dataset.matrix, dataset.labels, len(dataset.class_names),
+        n_estimators, max_depth, seed, features_per_split, min_leaf, threads,
+    )
 
 
-def forest_vote_counts(model: ForestModel, row: np.ndarray) -> np.ndarray:
-    """Integer votes per class; sums to n_estimators exactly."""
+def forest_regress_fit(
+    x: np.ndarray,
+    y: np.ndarray,
+    n_estimators: int,
+    max_depth: int | None = None,
+    seed: int = 0,
+    features_per_split: int | None = None,
+    min_leaf: int = 2,
+    threads: int = 1,
+) -> ForestModel:
+    """Bagged regression trees; splits minimize within-node squared error."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0 or y.shape != (x.shape[0],):
+        raise InvalidInputError("x must be 2-D with one target per row")
+    return _fit_forest(x, y, None, n_estimators, max_depth, seed, features_per_split, min_leaf, threads)
+
+
+def _row_values(model: ForestModel, row: np.ndarray) -> list[float]:
     row = np.asarray(row, dtype=float)
     if row.shape != (model.n_features,):
         raise InvalidInputError(
             f"row has {row.shape} shape, model expects ({model.n_features},)"
         )
-    votes = np.zeros(model.n_classes, dtype=int)
+    return row.tolist()
+
+
+def forest_vote_counts(model: ForestModel, row: np.ndarray) -> np.ndarray:
+    """Integer votes per class; sums to n_estimators exactly."""
+    if model.n_classes is None:
+        raise InvalidInputError("vote counts need a classification forest")
+    values = _row_values(model, row)
+    votes = [0] * model.n_classes
     for tree in model.trees:
-        leaf = _tree_apply(tree, row)
-        votes[int(np.argmax(leaf.class_counts))] += 1
-    return votes
+        votes[tree.predict(values)] += 1
+    return np.array(votes)
 
 
 def forest_predict_proba(model: ForestModel, row: np.ndarray) -> np.ndarray:
@@ -276,46 +341,11 @@ def forest_predict_many(model: ForestModel, matrix: np.ndarray) -> np.ndarray:
     return np.array([forest_predict(model, r) for r in matrix], dtype=int)
 
 
-def forest_regress_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    n_estimators: int,
-    max_depth: int | None = None,
-    seed: int = 0,
-    features_per_split: int | None = None,
-    min_leaf: int = 2,
-    threads: int = 1,
-) -> ForestRegressorModel:
-    """Bagged regression trees; splits minimize within-node squared error."""
-    if n_estimators < 1:
-        raise InvalidInputError("n_estimators must be at least 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0 or y.shape != (x.shape[0],):
-        raise InvalidInputError("x must be 2-D with one target per row")
-    d = x.shape[1]
-    fps = features_per_split if features_per_split is not None else _default_features_per_split(d)
-
-    def build(i: int) -> TreeNode:
-        rng = np.random.default_rng((seed, i))
-        boot = rng.integers(0, x.shape[0], x.shape[0])
-        return tree_fit(x[boot], y[boot], max_depth, min_leaf, fps, rng, regression=True)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(n_estimators)))
-    else:
-        trees = [build(i) for i in range(n_estimators)]
-    return ForestRegressorModel(trees, n_estimators, max_depth, fps, seed, d, min_leaf)
-
-
-def forest_regress_predict(model: ForestRegressorModel, row: np.ndarray) -> float:
-    row = np.asarray(row, dtype=float)
-    if row.shape != (model.n_features,):
-        raise InvalidInputError(
-            f"row has {row.shape} shape, model expects ({model.n_features},)"
-        )
-    values = np.array([_tree_apply(t, row).value for t in model.trees])
-    if np.all(values == values[0]):
-        return float(values[0])
-    return float(values.mean())
+def forest_regress_predict(model: ForestModel, row: np.ndarray) -> float:
+    if model.n_classes is not None:
+        raise InvalidInputError("regression predictions need a regression forest")
+    values = _row_values(model, row)
+    leaf_means = np.array([tree.predict(values) for tree in model.trees])
+    if np.all(leaf_means == leaf_means[0]):
+        return float(leaf_means[0])
+    return float(leaf_means.mean())

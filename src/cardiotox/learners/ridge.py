@@ -1,4 +1,4 @@
-"""Closed-form ridge regression on centered data via a Cholesky SPD solve."""
+"""Closed-form ridge regression on centered data via a linear solve."""
 
 from __future__ import annotations
 
@@ -22,20 +22,6 @@ class RidgeModel:
         return matrix @ self.coefficients + self.intercept
 
 
-def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    lower = np.linalg.cholesky(a)
-    n = lower.shape[0]
-    # forward substitution L z = rhs
-    z = np.zeros(n)
-    for i in range(n):
-        z[i] = (rhs[i] - lower[i, :i] @ z[:i]) / lower[i, i]
-    # back substitution L^T w = z
-    w = np.zeros(n)
-    for i in reversed(range(n)):
-        w[i] = (z[i] - lower[i + 1 :, i] @ w[i + 1 :]) / lower[i, i]
-    return w
-
-
 def ridge_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
     """beta = (Xc' Xc + alpha I)^-1 Xc' yc on centered data; the intercept
     restores the means."""
@@ -52,6 +38,6 @@ def ridge_fit(x: np.ndarray, y: np.ndarray, alpha: float) -> RidgeModel:
     xc = x - x_mean
     yc = y - y_mean
     gram = xc.T @ xc + alpha * np.eye(x.shape[1])
-    beta = _cholesky_solve(gram, xc.T @ yc)
+    beta = np.linalg.solve(gram, xc.T @ yc)
     intercept = y_mean - float(x_mean @ beta)
     return RidgeModel(beta, intercept, float(alpha))

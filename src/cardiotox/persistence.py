@@ -20,17 +20,16 @@ from .errors import BundleError
 from .learners import (
     BatchNormParams,
     ForestModel,
-    ForestRegressorModel,
     KernelSpec,
     MlpModel,
     RidgeModel,
     SvmModel,
-    TreeNode,
+    Tree,
 )
 from .pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 from .preprocess import PcaModel, ScalerParams
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 BUNDLE_EXTENSION = ".toxtree.json"
 DEFAULT_CREATED_AT = "1970-01-01T00:00:00Z"
 
@@ -83,33 +82,10 @@ def _dec_array(obj) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _enc_tree(node: TreeNode) -> dict:
-    if node.is_leaf:
-        if node.class_counts is not None:
-            return {"leaf": [int(c) for c in node.class_counts]}
-        return {"leaf_value": _enc_real(node.value)}
-    return {
-        "feature": node.feature,
-        "threshold": _enc_real(node.threshold),
-        "left": _enc_tree(node.left),
-        "right": _enc_tree(node.right),
-    }
-
-
-def _dec_tree(obj) -> TreeNode:
-    if "leaf" in obj:
-        return TreeNode(class_counts=np.array(obj["leaf"], dtype=int))
-    if "leaf_value" in obj:
-        return TreeNode(value=_dec_real(obj["leaf_value"]))
-    try:
-        return TreeNode(
-            feature=int(obj["feature"]),
-            threshold=_dec_real(obj["threshold"]),
-            left=_dec_tree(obj["left"]),
-            right=_dec_tree(obj["right"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise BundleError(f"malformed tree node: {exc}") from exc
+def _dec_ints(obj) -> np.ndarray:
+    if not isinstance(obj, list) or not all(type(v) is int for v in obj):
+        raise BundleError("malformed integer array in forest payload")
+    return np.array(obj, dtype=np.int64)
 
 
 def _opt_int(v):
@@ -127,24 +103,25 @@ def _encode_model(model: Any) -> tuple[str, dict]:
             "energy_captured": _enc_real(model.energy_captured),
         }
     if isinstance(model, ForestModel):
-        return "forest-classifier", {
-            "trees": [_enc_tree(t) for t in model.trees],
+        # Node arrays; indices and class counts (flattened row-major) stay plain ints.
+        counts = model.n_classes is not None
+        return "forest", {
+            "trees": [
+                {
+                    "feature": t.feature.tolist(),
+                    "threshold": _enc_array(t.threshold),
+                    "left": t.left.tolist(),
+                    "right": t.right.tolist(),
+                    "value": t.value.reshape(-1).tolist() if counts else _enc_array(t.value),
+                }
+                for t in model.trees
+            ],
             "n_estimators": model.n_estimators,
             "max_depth": model.max_depth,
             "features_per_split": model.features_per_split,
             "seed": model.seed,
             "n_features": model.n_features,
             "n_classes": model.n_classes,
-            "min_leaf": model.min_leaf,
-        }
-    if isinstance(model, ForestRegressorModel):
-        return "forest-regressor", {
-            "trees": [_enc_tree(t) for t in model.trees],
-            "n_estimators": model.n_estimators,
-            "max_depth": model.max_depth,
-            "features_per_split": model.features_per_split,
-            "seed": model.seed,
-            "n_features": model.n_features,
             "min_leaf": model.min_leaf,
         }
     if isinstance(model, SvmModel):
@@ -236,25 +213,31 @@ def _decode_model(kind: str, payload: dict) -> Any:
                 _dec_array(payload["eigenvalues"]),
                 _dec_real(payload["energy_captured"]),
             )
-        if kind == "forest-classifier":
+        if kind == "forest":
+            # Tree and ForestModel reject inconsistent arrays, out-of-range
+            # features and child links that do not point forward.
+            n_classes = _opt_int(payload["n_classes"])
+
+            def dec_value(obj) -> np.ndarray:
+                return _dec_array(obj) if n_classes is None else _dec_ints(obj).reshape(-1, n_classes)
+
             return ForestModel(
-                trees=[_dec_tree(t) for t in payload["trees"]],
+                trees=[
+                    Tree(
+                        _dec_ints(t["feature"]),
+                        _dec_array(t["threshold"]),
+                        _dec_ints(t["left"]),
+                        _dec_ints(t["right"]),
+                        dec_value(t["value"]),
+                    )
+                    for t in payload["trees"]
+                ],
                 n_estimators=int(payload["n_estimators"]),
                 max_depth=_opt_int(payload["max_depth"]),
                 features_per_split=int(payload["features_per_split"]),
                 seed=int(payload["seed"]),
                 n_features=int(payload["n_features"]),
-                n_classes=int(payload["n_classes"]),
-                min_leaf=int(payload["min_leaf"]),
-            )
-        if kind == "forest-regressor":
-            return ForestRegressorModel(
-                trees=[_dec_tree(t) for t in payload["trees"]],
-                n_estimators=int(payload["n_estimators"]),
-                max_depth=_opt_int(payload["max_depth"]),
-                features_per_split=int(payload["features_per_split"]),
-                seed=int(payload["seed"]),
-                n_features=int(payload["n_features"]),
+                n_classes=n_classes,
                 min_leaf=int(payload["min_leaf"]),
             )
         if kind == "svm":

@@ -32,8 +32,8 @@ from .learners import (
     SvmModel,
     TrainConfig,
     forest_fit,
+    forest_predict_many,
     forest_predict_proba,
-    forest_vote_counts,
     mlp_init,
     mlp_predict_proba,
     mlp_train,
@@ -456,7 +456,7 @@ def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: 
     if isinstance(config, ForestConfig):
         model = forest_fit(train_ds, config.n_estimators, config.max_depth, seed=seed)
         extras["depth"] = max(extras.get("depth", 0), model.observed_max_depth())
-        return np.array([int(np.argmax(forest_vote_counts(model, r))) for r in val_x])
+        return forest_predict_many(model, val_x)
     if isinstance(config, SvmConfig):
         if len(train_ds.class_names) != 2:
             raise InvalidInputError("SVM tuning requires binary labels")

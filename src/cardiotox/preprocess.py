@@ -56,70 +56,24 @@ def transform_scaler(params: ScalerParams, matrix: np.ndarray) -> np.ndarray:
     return (matrix - params.mean) / params.std
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def sym_eig(s: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix (numpy's ``eigh``).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues descending and
     eigenvectors as orthonormal columns, each signed so its largest-magnitude
-    entry is positive. Sweeps run until the off-diagonal norm falls below
-    1e-12 (with a relative floor for badly scaled inputs).
+    entry is positive.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidInputError("input must be a square matrix")
     if s.size and np.max(np.abs(s - s.T)) >= 1e-10:
         raise InvalidInputError("input must be symmetric within 1e-10")
-    d = s.shape[0]
-    a = 0.5 * (s + s.T)
-    v = np.eye(d)
-    if d <= 1:
-        return np.diag(a).copy(), v
-
-    tol = max(1e-12, 1e-14 * np.linalg.norm(a))
-    prev_off = np.inf
-    for _ in range(max_sweeps):
-        off = _offdiag_norm(a)
-        if off < tol or off >= prev_off:
-            break
-        prev_off = off
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                sn = t * c
-                # A <- J^T A J and V <- V J with J the Givens rotation on (p, q)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - sn * vec_q
-                v[:, q] = sn * vec_p + c * vec_q
-
-    values = np.diag(a).copy()
+    values, vectors = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for j in range(d):
-        col = vectors[:, j]
+    values, vectors = values[order], vectors[:, order]
+    for col in vectors.T:
         if col[np.argmax(np.abs(col))] < 0:
-            vectors[:, j] = -col
+            col *= -1.0
     return values, vectors
 
 

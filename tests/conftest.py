@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -21,3 +24,11 @@ def labeled(x, y, names=None):
     if names is None:
         names = tuple(f"c{i}" for i in range(int(np.max(y)) + 1))
     return LabeledDataset(np.asarray(x, dtype=float), np.asarray(y, dtype=int), names)
+
+
+def resigned(bundle: dict) -> str:
+    """Bundle text after an edit, with the payload digest recomputed so only
+    the decoder's own checks can reject it."""
+    canonical = json.dumps(bundle["payload"], sort_keys=True, separators=(",", ":"))
+    bundle["payload_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json.dumps(bundle)

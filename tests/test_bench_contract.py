@@ -1,0 +1,41 @@
+"""What the benchmark's span recorder (perfbench/spans.py) needs from the
+package: it wraps public functions by name and reads fitted forests. A rename
+here would otherwise only show as a crash of a traced benchmark run."""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+from cardiotox.learners import forest_fit
+
+from conftest import labeled, make_blobs
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves_to_a_callable():
+    for _layer, module_name, func, _hook in load_spans().TARGETS:
+        target = getattr(importlib.import_module(module_name), func, None)
+        assert callable(target), f"{module_name}.{func}"
+
+
+def test_recorder_reads_fitted_forest(rng, tmp_path):
+    spans = load_spans()
+    x, y = make_blobs(rng, [[0, 0], [4, 4]], 20)
+    forest = forest_fit(labeled(x, y), 3, max_depth=4, seed=0)
+    assert isinstance(forest.trees, list) and len(forest.trees) == 3
+    recorder = spans.Recorder()
+    spans._count_forest(recorder, (), {}, forest)
+    recorder.dump(str(tmp_path / "trace.json"))
+    counts = json.loads((tmp_path / "trace.json").read_text())["counts"]
+    assert counts["forest.trees"] == 3
+    assert counts["forest.max_depth"] == forest.observed_max_depth()
+    assert isinstance(forest.observed_max_depth(), int) and 1 <= forest.observed_max_depth() <= 4

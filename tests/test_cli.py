@@ -1,14 +1,16 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
 from cardiotox.cli import main
-from cardiotox.learners import ForestModel
-from cardiotox.learners.forest import TreeNode
+from cardiotox.learners import ForestModel, Tree
 from cardiotox.persistence import save_bundle
 from cardiotox.pipeline import PreprocessChain, SubModel, ToxTreePipeline
+
+from conftest import resigned
 
 
 def write_activities(path, rows):
@@ -49,11 +51,12 @@ def synthetic_problem(rng, per_class=25):
 
 def stump_stage_model(threshold):
     """Single depth-1 tree: blocker (class 0) iff feature 0 > threshold."""
-    tree = TreeNode(
-        feature=0,
-        threshold=threshold,
-        left=TreeNode(class_counts=np.array([0, 1])),
-        right=TreeNode(class_counts=np.array([1, 0])),
+    tree = Tree(
+        feature=[0, -1, -1],
+        threshold=[threshold, 0.0, 0.0],
+        left=[1, -1, -1],
+        right=[2, -1, -1],
+        value=[[1, 1], [0, 1], [1, 0]],
     )
     return ForestModel([tree], 1, 1, 1, 0, n_features=1, n_classes=2)
 
@@ -282,6 +285,20 @@ class TestPredict:
         assert rows["ok"]["outcome"] == "strong-blocker"
         assert rows["bad"]["outcome"].startswith("error:")
         assert "f0" in rows["bad"]["outcome"]
+
+
+class TestMalformedBundle:
+    def test_out_of_range_tree_feature_exits_2(self, tmp_path, capsys):
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(class_code_pipeline(), bundle_path)
+        bundle = json.loads(bundle_path.read_text())
+        bundle["payload"]["stages"][0]["model"]["trees"][0]["feature"][0] = 999
+        bundle_path.write_text(resigned(bundle))
+        write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
+        code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "forest" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -3,6 +3,8 @@ import pytest
 
 from cardiotox.errors import InvalidInputError
 from cardiotox.learners import (
+    ForestModel,
+    Tree,
     forest_fit,
     forest_predict,
     forest_predict_many,
@@ -12,14 +14,14 @@ from cardiotox.learners import (
     forest_vote_counts,
     tree_fit,
 )
-from cardiotox.learners.forest import TreeNode
 
 from conftest import labeled, make_blobs
 
 
-def oracle_tree(x, y, n_classes, max_depth, depth=0):
+def oracle_tree(x, y, n_classes, max_depth):
     """Exhaustive enumeration of every (feature, midpoint) split; same
-    tie-break (lowest feature, then lowest threshold) and strict gain."""
+    tie-break (lowest feature, then lowest threshold) and strict gain.
+    Nodes are laid out in preorder with each node's class counts."""
 
     def gini(labels):
         n = len(labels)
@@ -27,42 +29,46 @@ def oracle_tree(x, y, n_classes, max_depth, depth=0):
         p = counts / n
         return 1.0 - float((p**2).sum())
 
-    n = len(y)
-    if (max_depth is not None and depth >= max_depth) or np.all(y == y[0]) or n < 2:
-        return TreeNode(class_counts=np.bincount(y, minlength=n_classes))
-    parent = gini(y)
-    best = (None, None, 0.0)
-    for f in range(x.shape[1]):
-        values = np.unique(x[:, f])
-        for lo, hi in zip(values[:-1], values[1:]):
-            threshold = (lo + hi) / 2.0
-            left = y[x[:, f] <= threshold]
-            right = y[x[:, f] > threshold]
-            gain = parent - (len(left) / n * gini(left) + len(right) / n * gini(right))
-            if gain > best[2]:
-                best = (f, threshold, gain)
-    if best[0] is None:
-        return TreeNode(class_counts=np.bincount(y, minlength=n_classes))
-    f, threshold, _ = best
-    mask = x[:, f] <= threshold
-    node = TreeNode(feature=f, threshold=threshold)
-    node.left = oracle_tree(x[mask], y[mask], n_classes, max_depth, depth + 1)
-    node.right = oracle_tree(x[~mask], y[~mask], n_classes, max_depth, depth + 1)
-    return node
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(x, y, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(np.bincount(y, minlength=n_classes))
+        n = len(y)
+        if (max_depth is not None and depth >= max_depth) or np.all(y == y[0]) or n < 2:
+            return node
+        parent = gini(y)
+        best = (None, None, 0.0)
+        for f in range(x.shape[1]):
+            values = np.unique(x[:, f])
+            for lo, hi in zip(values[:-1], values[1:]):
+                t = (lo + hi) / 2.0
+                below = y[x[:, f] <= t]
+                above = y[x[:, f] > t]
+                gain = parent - (len(below) / n * gini(below) + len(above) / n * gini(above))
+                if gain > best[2]:
+                    best = (f, t, gain)
+        if best[0] is None:
+            return node
+        f, t, _ = best
+        mask = x[:, f] <= t
+        feature[node], threshold[node] = f, t
+        left[node] = grow(x[mask], y[mask], depth + 1)
+        right[node] = grow(x[~mask], y[~mask], depth + 1)
+        return node
+
+    grow(x, y, 0)
+    return Tree(feature, threshold, left, right, value)
 
 
-def trees_equal(a: TreeNode, b: TreeNode) -> bool:
-    if a.is_leaf != b.is_leaf:
-        return False
-    if a.is_leaf:
-        if a.class_counts is not None:
-            return np.array_equal(a.class_counts, b.class_counts)
-        return a.value == b.value
-    return (
-        a.feature == b.feature
-        and a.threshold == b.threshold
-        and trees_equal(a.left, b.left)
-        and trees_equal(a.right, b.right)
+def trees_equal(a: Tree, b: Tree) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("feature", "threshold", "left", "right", "value")
     )
 
 
@@ -70,16 +76,16 @@ class TestTreeFit:
     def test_pure_input_single_leaf(self, rng):
         x = rng.normal(size=(6, 2))
         tree = tree_fit(x, np.zeros(6, dtype=int), None, 2, 2, rng, n_classes=2)
-        assert tree.is_leaf
-        assert list(tree.class_counts) == [6, 0]
+        assert list(tree.feature) == [-1]
+        assert list(tree.value[0]) == [6, 0]
 
     def test_stump_at_midpoint_gap(self, rng):
         x = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
         tree = tree_fit(x, y, max_depth=1, min_leaf=2, features_per_split=1, rng=rng, n_classes=2)
-        assert tree.feature == 0
-        assert tree.threshold == pytest.approx(6.0)
-        preds = [0 if row[0] <= tree.threshold else 1 for row in x]
+        assert list(tree.feature) == [0, -1, -1]
+        assert tree.threshold[0] == pytest.approx(6.0)
+        preds = [0 if row[0] <= tree.threshold[0] else 1 for row in x]
         assert preds == list(y)
 
     def test_matches_exhaustive_oracle(self, rng):
@@ -100,7 +106,7 @@ class TestTreeFit:
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0, 1, 0])
         tree = tree_fit(x, y, max_depth=None, min_leaf=4, features_per_split=1, rng=rng, n_classes=2)
-        assert tree.is_leaf
+        assert list(tree.feature) == [-1]
 
 
 class TestForestClassifier:
@@ -115,10 +121,11 @@ class TestForestClassifier:
             x[boot], y[boot], 4, 2, forest.features_per_split, tree_rng, n_classes=2
         )
         for row in probe:
-            node = solo
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            assert forest_predict(forest, row) == int(np.argmax(node.class_counts))
+            node = 0
+            while solo.feature[node] >= 0:
+                go_left = row[solo.feature[node]] <= solo.threshold[node]
+                node = solo.left[node] if go_left else solo.right[node]
+            assert forest_predict(forest, row) == int(np.argmax(solo.value[node]))
 
     def test_unanimous_votes_one_hot(self, rng):
         x = rng.normal(size=(20, 2))
@@ -173,11 +180,8 @@ class TestForestClassifier:
 
     def test_tie_breaks_to_lower_class_index(self):
         # leaves voting 1:1 across two trees
-        t0 = TreeNode(class_counts=np.array([5, 0]))
-        t1 = TreeNode(class_counts=np.array([0, 5]))
-        from cardiotox.learners import ForestModel
-
-        model = ForestModel([t0, t1], 2, None, 1, 0, n_features=1, n_classes=2)
+        leaves = [Tree([-1], [0.0], [-1], [-1], [counts]) for counts in ([5, 0], [0, 5])]
+        model = ForestModel(leaves, 2, None, 1, 0, n_features=1, n_classes=2)
         assert forest_predict(model, np.array([0.0])) == 0
 
     def test_rejects_empty_and_bad_counts(self, rng):
@@ -222,3 +226,12 @@ class TestForestRegressor:
         y = rng.normal(size=100)
         model = forest_regress_fit(x, y, 5, max_depth=3, seed=0)
         assert model.observed_max_depth() <= 3
+
+    def test_kind_mismatched_predictions_rejected(self, rng):
+        x, y = make_blobs(rng, [[0, 0], [4, 4]], 10)
+        regressor = forest_regress_fit(x, y.astype(float), 3, seed=0)
+        classifier = forest_fit(labeled(x, y), 3, seed=0)
+        with pytest.raises(InvalidInputError):
+            forest_vote_counts(regressor, x[0])
+        with pytest.raises(InvalidInputError):
+            forest_regress_predict(classifier, x[0])

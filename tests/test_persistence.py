@@ -29,7 +29,7 @@ from cardiotox.pipeline import (
 )
 from cardiotox.preprocess import fit_pca, fit_scaler, project, transform_scaler
 
-from conftest import labeled, make_blobs
+from conftest import labeled, make_blobs, resigned
 
 
 def roundtrip(model):
@@ -131,6 +131,35 @@ class TestFailureModes:
         bundle["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(BundleError, match="schema_version"):
             load_bundle(io.StringIO(json.dumps(bundle)))
+
+    def test_previous_schema_version(self, rng):
+        text, _ = roundtrip(build_models(rng)["forest"])
+        bundle = json.loads(text)
+        bundle["schema_version"] = 1
+        with pytest.raises(BundleError, match="schema_version"):
+            load_bundle(io.StringIO(json.dumps(bundle)))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda p, t: t["feature"].__setitem__(0, 999), id="feature-out-of-range"),
+            pytest.param(lambda p, t: t["feature"].__setitem__(0, -2), id="negative-feature"),
+            pytest.param(lambda p, t: t["feature"].__setitem__(0, 1.5), id="non-integer-feature"),
+            pytest.param(lambda p, t: t["left"].append(-1), id="length-mismatch"),
+            pytest.param(lambda p, t: t["left"].__setitem__(0, 0), id="child-cycle"),
+            pytest.param(lambda p, t: t["right"].__setitem__(0, len(t["feature"])), id="child-past-end"),
+            pytest.param(lambda p, t: t["value"].append(0), id="counts-not-n-classes-wide"),
+            pytest.param(lambda p, t: p["trees"].pop(), id="fewer-trees-than-n-estimators"),
+        ],
+    )
+    def test_malformed_forest_rejected(self, rng, edit):
+        text, _ = roundtrip(build_models(rng)["forest"])
+        bundle = json.loads(text)
+        tree = bundle["payload"]["trees"][0]
+        assert tree["feature"][0] >= 0  # the root splits, so the edits hit an internal node
+        edit(bundle["payload"], tree)
+        with pytest.raises(BundleError, match="forest"):
+            load_bundle(io.StringIO(resigned(bundle)))
 
     def test_corrupted_payload_byte(self, rng):
         text, _ = roundtrip(build_models(rng)["svm"])
