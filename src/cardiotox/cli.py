@@ -274,6 +274,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     seed = _merged(args, "seed", DEFAULT_SEED, int)
     threads = _merged(args, "threads", 1, int)
+    if threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {threads}")
     target = _merged(args, "target", "herg")
     if target not in ("herg", "nav15"):
         raise UsageError(f"unknown target {target!r}")

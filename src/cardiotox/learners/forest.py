@@ -78,34 +78,48 @@ def _gini_from_counts(counts: np.ndarray, total: int) -> float:
     return 1.0 - float(np.dot(p, p))
 
 
-def _best_gini_split(x, y, n_classes, feature_ids):
-    """Best (feature, threshold, gain) over midpoint candidates.
+def _sorted_block(x, feature_ids):
+    """The sampled columns sorted independently (stable), with each column's row order."""
+    block = x[:, feature_ids]
+    order = np.argsort(block, axis=0, kind="stable")
+    return block[order, np.arange(block.shape[1])], order
+
+
+def _pick_split(gain, xs, feature_ids, tol=0.0):
+    """Winner over a (candidate, feature) gain matrix.
 
     Ties break to the lowest feature index (features scanned ascending, strict
-    improvement) and then the lowest threshold (first argmax within a feature).
+    improvement by more than ``tol``) and then the lowest threshold (first
+    argmax within a feature).
     """
+    gain[xs[:-1] == xs[1:]] = -np.inf  # no threshold between equal values
+    rows = np.argmax(gain, axis=0)
+    best_j, best_gain = None, 0.0
+    for j, g in enumerate(gain[rows, np.arange(gain.shape[1])].tolist()):
+        if g > best_gain + tol:
+            best_j, best_gain = j, g
+    if best_j is None:
+        return None, None, 0.0
+    i = rows[best_j]
+    return feature_ids[best_j], (xs[i, best_j] + xs[i + 1, best_j]) / 2.0, best_gain
+
+
+def _best_gini_split(x, y, n_classes, feature_ids):
+    """Best (feature, threshold, gain) over midpoint candidates of every
+    sampled feature at once; ties break as in ``_pick_split``."""
     n = len(y)
     parent_counts = np.bincount(y, minlength=n_classes)
     parent_gini = _gini_from_counts(parent_counts, n)
-    counts_splits = np.arange(1, n, dtype=float)
-    best = (None, None, 0.0)
-    for f in feature_ids:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y[order]] = 1.0
-        left = np.cumsum(onehot, axis=0)[:-1]
-        right = parent_counts - left
-        nl = counts_splits
-        nr = n - nl
-        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-        gain = parent_gini - (nl / n * gini_l + nr / n * gini_r)
-        gain[xs[:-1] == xs[1:]] = -np.inf
-        i = int(np.argmax(gain))
-        if gain[i] > best[2]:
-            best = (f, (xs[i] + xs[i + 1]) / 2.0, float(gain[i]))
-    return best
+    xs, order = _sorted_block(x, feature_ids)
+    onehot = (y[order][:, :, None] == np.arange(n_classes)).astype(float)
+    left = np.cumsum(onehot, axis=0)[:-1]  # (n - 1, features, classes)
+    right = parent_counts - left
+    nl = np.arange(1, n, dtype=float)[:, None]
+    nr = n - nl
+    gini_l = 1.0 - ((left / nl[:, :, None]) ** 2).sum(axis=2)
+    gini_r = 1.0 - ((right / nr[:, :, None]) ** 2).sum(axis=2)
+    gain = parent_gini - (nl / n * gini_l + nr / n * gini_r)
+    return _pick_split(gain, xs, feature_ids)
 
 
 def _best_sse_split(x, y, feature_ids):
@@ -114,26 +128,17 @@ def _best_sse_split(x, y, feature_ids):
     total_sum = y.sum()
     total_sq = (y * y).sum()
     parent_sse = total_sq - total_sum * total_sum / n
-    counts_splits = np.arange(1, n, dtype=float)
-    tol = 1e-12 * max(1.0, abs(parent_sse))
-    best = (None, None, 0.0)
-    for f in feature_ids:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        left_sum = np.cumsum(ys)[:-1]
-        left_sq = np.cumsum(ys * ys)[:-1]
-        nl = counts_splits
-        nr = n - nl
-        right_sum = total_sum - left_sum
-        right_sq = total_sq - left_sq
-        sse = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
-        gain = parent_sse - sse
-        gain[xs[:-1] == xs[1:]] = -np.inf
-        i = int(np.argmax(gain))
-        if gain[i] > best[2] + tol:
-            best = (f, (xs[i] + xs[i + 1]) / 2.0, float(gain[i]))
-    return best
+    xs, order = _sorted_block(x, feature_ids)
+    ys = y[order]
+    left_sum = np.cumsum(ys, axis=0)[:-1]
+    left_sq = np.cumsum(ys * ys, axis=0)[:-1]
+    nl = np.arange(1, n, dtype=float)[:, None]
+    nr = n - nl
+    right_sum = total_sum - left_sum
+    right_sq = total_sq - left_sq
+    sse = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
+    gain = parent_sse - sse
+    return _pick_split(gain, xs, feature_ids, tol=1e-12 * max(1.0, abs(parent_sse)))
 
 
 def _leaf_mean(y: np.ndarray) -> float:
@@ -252,6 +257,8 @@ def _fit_forest(
     grows regression trees."""
     if n_estimators < 1:
         raise InvalidInputError("n_estimators must be at least 1")
+    if threads < 1:
+        raise InvalidInputError(f"threads must be at least 1, got {threads}")
     d = x.shape[1]
     fps = features_per_split if features_per_split is not None else _default_features_per_split(d)
 

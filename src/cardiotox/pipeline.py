@@ -337,6 +337,10 @@ class ForestConfig:
     n_estimators: int
     max_depth: int | None = None
 
+    def __post_init__(self):
+        if self.n_estimators < 1:
+            raise InvalidInputError("n_estimators must be at least 1")
+
     def size_key(self):
         return (self.n_estimators, self.max_depth if self.max_depth is not None else math.inf)
 
@@ -452,11 +456,8 @@ def _binary_view(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray] | Non
     return None
 
 
-def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: int, extras: dict):
-    if isinstance(config, ForestConfig):
-        model = forest_fit(train_ds, config.n_estimators, config.max_depth, seed=seed)
-        extras["depth"] = max(extras.get("depth", 0), model.observed_max_depth())
-        return forest_predict_many(model, val_x)
+def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: int,
+                     mlp_hidden: tuple[int, ...], mlp_train_config: TrainConfig):
     if isinstance(config, SvmConfig):
         if len(train_ds.class_names) != 2:
             raise InvalidInputError("SVM tuning requires binary labels")
@@ -466,10 +467,8 @@ def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: 
         f = svm_decision_many(model, val_x)
         return np.where(f >= 0.0, 0, 1)
     if isinstance(config, MlpGridConfig):
-        hidden = extras["mlp_hidden"]
-        base_cfg: TrainConfig = extras["mlp_train_config"]
-        cfg = replace(base_cfg, batch_size=config.batch_size, seed=seed)
-        sizes = [train_ds.n_features, *hidden, len(train_ds.class_names)]
+        cfg = replace(mlp_train_config, batch_size=config.batch_size, seed=seed)
+        sizes = [train_ds.n_features, *mlp_hidden, len(train_ds.class_names)]
         model = mlp_init(sizes, config.activation, seed, config.dropout_rate, config.batchnorm)
         inner_train, inner_val = stratified_split(train_ds, cfg.validation_fraction, seed)
         if inner_val.n_rows == 0:
@@ -478,6 +477,19 @@ def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: 
         probs = mlp_predict_proba(result.model, val_x)
         return np.argmax(probs, axis=1)
     raise InvalidInputError(f"unsupported config type {type(config).__name__}")
+
+
+def _largest_forests(space: Sequence[Any], train_ds: LabeledDataset, seed: int) -> dict:
+    """One forest per max_depth in the space, as large as its largest config.
+
+    Tree i depends only on (seed, i), so the forest a config would fit on its
+    own is the first n_estimators trees of this one.
+    """
+    sizes: dict[int | None, int] = {}
+    for config in space:
+        if isinstance(config, ForestConfig):
+            sizes[config.max_depth] = max(sizes.get(config.max_depth, 0), config.n_estimators)
+    return {depth: forest_fit(train_ds, n, depth, seed=seed) for depth, n in sizes.items()}
 
 
 def tune_grid(
@@ -492,6 +504,10 @@ def tune_grid(
     """Stratified k-fold CV over every configuration, resampling only the
     training side of each fold.
 
+    Each fold is resampled once and shared by every configuration. Forest
+    configurations are scored on prefixes of one forest per (fold, max_depth),
+    fitted at the largest size the space asks for.
+
     Rankings order by AC_cv, then F1_cv, then the smaller model (fewer
     estimators / smaller C / smaller batch). AC_cv is the dataset's native
     accuracy (multiclass when labels are multiclass); F1 and binary accuracy
@@ -504,47 +520,53 @@ def tune_grid(
         raise InvalidInputError("resampling plans apply to binary datasets only")
     folds: FoldPlan = stratified_kfold(dataset, k, seed)
     binary = _binary_view(dataset)
+    mlp_hidden = tuple(mlp_hidden)
+    mlp_train_config = mlp_train_config or TrainConfig(epochs=50)
 
-    extras_base = {
-        "mlp_hidden": tuple(mlp_hidden),
-        "mlp_train_config": mlp_train_config or TrainConfig(epochs=50),
-    }
-
-    results: list[ConfigResult] = []
-    for config in space:
-        fold_ac: list[float] = []
-        fold_f1: list[float] = []
-        fold_bin_ac: list[float] = []
-        extras = dict(extras_base)
-        for fold_idx, (train_idx, val_idx) in enumerate(folds.iter_train_val()):
-            if len(val_idx) == 0:  # possible when k exceeds the row count
-                continue
-            train_ds = dataset.subset(train_idx)
-            if plan.strategy is not Strategy.ORIGINAL:
-                fold_plan = replace(plan, seed=plan.seed + 7919 * (fold_idx + 1))
-                train_ds = balance(train_ds, fold_plan)
-            val_ds = dataset.subset(val_idx)
-            preds = _fit_and_predict(config, train_ds, val_ds.matrix, seed, extras)
-            fold_ac.append(float(np.mean(preds == val_ds.labels)))
+    fold_ac: list[list[float]] = [[] for _ in space]
+    fold_f1: list[list[float]] = [[] for _ in space]
+    fold_bin_ac: list[list[float]] = [[] for _ in space]
+    depths: list[int | None] = [None] * len(space)
+    for fold_idx, (train_idx, val_idx) in enumerate(folds.iter_train_val()):
+        if len(val_idx) == 0:  # possible when k exceeds the row count
+            continue
+        train_ds = dataset.subset(train_idx)
+        if plan.strategy is not Strategy.ORIGINAL:
+            fold_plan = replace(plan, seed=plan.seed + 7919 * (fold_idx + 1))
+            train_ds = balance(train_ds, fold_plan)
+        val_ds = dataset.subset(val_idx)
+        forests = _largest_forests(space, train_ds, seed)
+        for c, config in enumerate(space):
+            if isinstance(config, ForestConfig):
+                full = forests[config.max_depth]
+                model = replace(full, trees=full.trees[: config.n_estimators], n_estimators=config.n_estimators)
+                depths[c] = max(depths[c] or 0, model.observed_max_depth())
+                preds = forest_predict_many(model, val_ds.matrix)
+            else:
+                preds = _fit_and_predict(config, train_ds, val_ds.matrix, seed, mlp_hidden, mlp_train_config)
+            fold_ac[c].append(float(np.mean(preds == val_ds.labels)))
             if binary is not None:
                 blocker_truth = binary[0][val_idx]
                 blocker_pred = np.isin(preds, binary[1])
                 counts = confusion_from_labels(blocker_truth, blocker_pred, True)
                 if counts.total:
                     m = binary_metrics(counts)
-                    fold_f1.append(m.f1)
-                    fold_bin_ac.append(m.ac)
-        multiclass = len(dataset.class_names) != 2
-        result = ConfigResult(
+                    fold_f1[c].append(m.f1)
+                    fold_bin_ac[c].append(m.ac)
+
+    multiclass = len(dataset.class_names) != 2
+    results = [
+        ConfigResult(
             config=config,
-            ac_cv=cv_estimate(fold_ac),
-            f1_cv=cv_estimate(fold_f1) if fold_f1 else float("nan"),
-            binary_ac_cv=cv_estimate(fold_bin_ac) if fold_bin_ac and multiclass else None,
-            observed_max_depth=extras.get("depth"),
-            fold_ac=fold_ac,
-            fold_f1=fold_f1,
+            ac_cv=cv_estimate(fold_ac[c]),
+            f1_cv=cv_estimate(fold_f1[c]) if fold_f1[c] else float("nan"),
+            binary_ac_cv=cv_estimate(fold_bin_ac[c]) if fold_bin_ac[c] and multiclass else None,
+            observed_max_depth=depths[c],
+            fold_ac=fold_ac[c],
+            fold_f1=fold_f1[c],
         )
-        results.append(result)
+        for c, config in enumerate(space)
+    ]
 
     def rank_key(item: tuple[int, ConfigResult]):
         idx, r = item

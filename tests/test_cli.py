@@ -7,6 +7,7 @@ import pytest
 
 from cardiotox.cli import main
 from cardiotox.learners import ForestModel, Tree
+from cardiotox.learners import forest as forest_module
 from cardiotox.persistence import save_bundle
 from cardiotox.pipeline import PreprocessChain, SubModel, ToxTreePipeline
 
@@ -240,6 +241,23 @@ class TestTrain:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["train", "--descriptors", "x.csv"]) == 1  # missing --compounds
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_is_usage_error(self, trained, tmp_path, monkeypatch, capsys, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(forest_module, "ThreadPoolExecutor", no_pool)
+        code = main(
+            [
+                "train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                "--target", "herg", "--grid", "quick", "--folds", "3", "--threads", threads,
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "herg-toxtree.toxtree.json").exists()
 
 
 class TestPredict:

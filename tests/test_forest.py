@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardiotox.errors import InvalidInputError
+from cardiotox.learners import forest as forest_module
 from cardiotox.learners import (
     ForestModel,
     Tree,
@@ -65,6 +70,60 @@ def oracle_tree(x, y, n_classes, max_depth):
     return Tree(feature, threshold, left, right, value)
 
 
+def reference_gini_split(x, y, n_classes, feature_ids):
+    """Per-feature loop the vectorized Gini split search must reproduce bit for bit."""
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=n_classes)
+    parent_gini = forest_module._gini_from_counts(parent_counts, n)
+    counts_splits = np.arange(1, n, dtype=float)
+    best = (None, None, 0.0)
+    for f in feature_ids:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), y[order]] = 1.0
+        left = np.cumsum(onehot, axis=0)[:-1]
+        right = parent_counts - left
+        nl = counts_splits
+        nr = n - nl
+        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+        gain = parent_gini - (nl / n * gini_l + nr / n * gini_r)
+        gain[xs[:-1] == xs[1:]] = -np.inf
+        i = int(np.argmax(gain))
+        if gain[i] > best[2]:
+            best = (f, (xs[i] + xs[i + 1]) / 2.0, float(gain[i]))
+    return best
+
+
+def reference_sse_split(x, y, feature_ids):
+    """Per-feature loop the vectorized squared-error split search must reproduce."""
+    n = len(y)
+    total_sum = y.sum()
+    total_sq = (y * y).sum()
+    parent_sse = total_sq - total_sum * total_sum / n
+    counts_splits = np.arange(1, n, dtype=float)
+    tol = 1e-12 * max(1.0, abs(parent_sse))
+    best = (None, None, 0.0)
+    for f in feature_ids:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        left_sum = np.cumsum(ys)[:-1]
+        left_sq = np.cumsum(ys * ys)[:-1]
+        nl = counts_splits
+        nr = n - nl
+        right_sum = total_sum - left_sum
+        right_sq = total_sq - left_sq
+        sse = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
+        gain = parent_sse - sse
+        gain[xs[:-1] == xs[1:]] = -np.inf
+        i = int(np.argmax(gain))
+        if gain[i] > best[2] + tol:
+            best = (f, (xs[i] + xs[i + 1]) / 2.0, float(gain[i]))
+    return best
+
+
 def trees_equal(a: Tree, b: Tree) -> bool:
     return all(
         np.array_equal(getattr(a, name), getattr(b, name))
@@ -107,6 +166,42 @@ class TestTreeFit:
         y = np.array([0, 1, 0])
         tree = tree_fit(x, y, max_depth=None, min_leaf=4, features_per_split=1, rng=rng, n_classes=2)
         assert list(tree.feature) == [-1]
+
+
+@st.composite
+def tied_problems(draw):
+    """Small integer-valued matrices with duplicated rows, so split candidates
+    tie within and across features; targets are 2-4 classes or regression."""
+    n_distinct = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n_distinct * d, max_size=n_distinct * d))
+    distinct = np.array(cells, dtype=float).reshape(n_distinct, d)
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=2, max_size=30))
+    x = distinct[picks]
+    n_classes = draw(st.sampled_from([None, 2, 3, 4]))
+    if n_classes is None:
+        y = np.array(draw(st.lists(st.sampled_from([-1.5, 0.0, 0.1, 2.0, 7.25]), min_size=len(picks),
+                                   max_size=len(picks))))
+    else:
+        y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=len(picks), max_size=len(picks))))
+    return x, y, n_classes, draw(st.integers(1, d)), draw(st.sampled_from([None, 1, 2, 4])), draw(st.integers(0, 2**32))
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_problems())
+    def test_matches_per_feature_reference(self, problem):
+        x, y, n_classes, features_per_split, max_depth, seed = problem
+
+        def grow():
+            return tree_fit(x, y, max_depth, 2, features_per_split, np.random.default_rng(seed),
+                            n_classes=n_classes, regression=n_classes is None)
+
+        grown = grow()
+        with mock.patch.object(forest_module, "_best_gini_split", reference_gini_split), \
+                mock.patch.object(forest_module, "_best_sse_split", reference_sse_split):
+            expected = grow()
+        assert trees_equal(grown, expected)
 
 
 class TestForestClassifier:
@@ -188,6 +283,18 @@ class TestForestClassifier:
         dataset = labeled(rng.normal(size=(4, 2)), [0, 1, 0, 1])
         with pytest.raises(InvalidInputError):
             forest_fit(dataset, 0)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, rng, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(forest_module, "ThreadPoolExecutor", no_pool)
+        x, y = make_blobs(rng, [[0, 0], [4, 4]], 5)
+        with pytest.raises(InvalidInputError):
+            forest_fit(labeled(x, y), 3, threads=threads)
+        with pytest.raises(InvalidInputError):
+            forest_regress_fit(x, y.astype(float), 3, threads=threads)
 
 
 class TestForestRegressor:

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cardiotox.dataset import assign_class
+from cardiotox import pipeline as pipeline_module
+from cardiotox.dataset import assign_class, stratified_kfold
 from cardiotox.errors import InvalidInputError
-from cardiotox.learners import KernelSpec, forest_fit, svm_fit
+from cardiotox.learners import KernelSpec, forest_fit, forest_predict_many, svm_fit
+from cardiotox.metrics import binary_metrics, confusion_from_labels, cv_estimate
 from cardiotox.pipeline import (
     ConsensusPair,
     ForestConfig,
@@ -25,7 +29,7 @@ from cardiotox.pipeline import (
     tune_grid,
 )
 from cardiotox.preprocess import fit_pca, fit_scaler, transform_scaler
-from cardiotox.resample import ResamplePlan, Strategy
+from cardiotox.resample import ResamplePlan, Strategy, balance
 
 from conftest import labeled, make_blobs
 
@@ -260,6 +264,28 @@ class TestSpaces:
         assert len(set(space)) == 16
 
 
+def reference_forest_tuning(space, dataset, k, seed, plan):
+    """Per-config CV that resamples and fits a forest of each size on every fold."""
+    results = []
+    for config in space:
+        fold_ac, fold_f1, depth = [], [], None
+        for fold_idx, (train_idx, val_idx) in enumerate(stratified_kfold(dataset, k, seed).iter_train_val()):
+            train_ds = dataset.subset(train_idx)
+            if plan.strategy is not Strategy.ORIGINAL:
+                train_ds = balance(train_ds, replace(plan, seed=plan.seed + 7919 * (fold_idx + 1)))
+            model = forest_fit(train_ds, config.n_estimators, config.max_depth, seed=seed)
+            depth = max(depth or 0, model.observed_max_depth())
+            preds = forest_predict_many(model, dataset.matrix[val_idx])
+            fold_ac.append(float(np.mean(preds == dataset.labels[val_idx])))
+            counts = confusion_from_labels(dataset.labels[val_idx] == 0, preds == 0, True)
+            fold_f1.append(binary_metrics(counts).f1)
+        results.append((config, cv_estimate(fold_ac), cv_estimate(fold_f1), fold_ac, fold_f1, depth))
+    ranked = sorted(
+        enumerate(results), key=lambda item: (-item[1][1], -item[1][2], item[1][0].size_key(), item[0])
+    )
+    return results, [r[0] for _, r in ranked]
+
+
 class TestTuneGrid:
     def binary_blobs(self, rng, per_class=30):
         x, y = make_blobs(rng, [[0, 0], [4, 4]], per_class)
@@ -330,6 +356,47 @@ class TestTuneGrid:
         dataset = labeled(x, y, ("a", "b", "c"))
         with pytest.raises(InvalidInputError):
             tune_grid([ForestConfig(5)], dataset, k=2, seed=0, plan=ResamplePlan(Strategy.OVER_SAMPLE))
+
+    @pytest.mark.parametrize("strategy", [Strategy.ORIGINAL, Strategy.OVER_SAMPLE])
+    def test_forest_prefixes_match_independent_fits(self, rng, monkeypatch, strategy):
+        x, y = make_blobs(rng, [[0, 0], [1.5, 1.5]], 40, scale=1.0)
+        keep = np.concatenate([np.flatnonzero(y == 0)[:15], np.flatnonzero(y == 1)])
+        dataset = labeled(x[keep], y[keep], ("blocker", "non-blocker"))
+        space = [ForestConfig(20), ForestConfig(10), ForestConfig(20, max_depth=1), ForestConfig(3, max_depth=1)]
+        plan = ResamplePlan(strategy, seed=5)
+        expected, expected_ranking = reference_forest_tuning(space, dataset, 3, 4, plan)
+
+        calls = {"forest_fit": 0, "balance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline_module, "forest_fit", counted("forest_fit", forest_fit))
+        monkeypatch.setattr(pipeline_module, "balance", counted("balance", balance))
+        result = tune_grid(space, dataset, k=3, seed=4, plan=plan)
+
+        got = [(r.config, r.ac_cv, r.f1_cv, r.fold_ac, r.fold_f1, r.observed_max_depth) for r in result.results]
+        assert got == expected
+        assert [r.config for r in result.ranked] == expected_ranking
+        assert calls["forest_fit"] == 3 * 2  # k folds x distinct max_depth
+        assert calls["balance"] == (3 if strategy is Strategy.OVER_SAMPLE else 0)
+
+    def test_svm_space_balances_once_per_fold(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline_module, "balance", lambda ds, plan: calls.append(plan.seed) or balance(ds, plan))
+        x, y = make_blobs(rng, [[0, 0], [4, 4]], 12)
+        dataset = labeled(np.vstack([x, x[y == 1]]), np.concatenate([y, np.ones(12, dtype=int)]),
+                          ("blocker", "non-blocker"))
+        space = [SvmConfig("linear", 1.0), SvmConfig("rbf", 1.0)]
+        tune_grid(space, dataset, k=2, seed=0, plan=ResamplePlan(Strategy.OVER_SAMPLE, seed=2))
+        assert calls == [2 + 7919, 2 + 2 * 7919]
+
+    def test_nonpositive_forest_size_rejected(self):
+        with pytest.raises(InvalidInputError):
+            ForestConfig(0)
 
     def test_empty_space_rejected(self, rng):
         with pytest.raises(InvalidInputError):
