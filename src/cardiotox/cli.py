@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--config", help="flat key=value file; explicit flags override it")
         p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
         p.add_argument("--out", default=None, help="output directory (default .)")
 
     p = sub.add_parser("curate", help="deduplicate activities and emit PIC50 compounds")
@@ -82,6 +81,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="tune, fit, and bundle a ToxTree pipeline")
     add_common(p)
+    p.add_argument("--threads", type=int, default=None, help="forest worker threads (default 1)")
     p.add_argument("--descriptors", required=True)
     p.add_argument("--compounds", required=True)
     p.add_argument("--target", choices=("herg", "nav15"), default=None)
@@ -265,6 +265,7 @@ def _cv_report_rows(threshold, name, strategy, tuning, family):
             "kernel": getattr(cfg, "kernel", ""),
             "C": getattr(cfg, "c", ""),
             "degree": getattr(cfg, "degree", "") if getattr(cfg, "kernel", "") == "poly" else "",
+            "converged": "" if res.converged is None else str(res.converged).lower(),
         }
         rows.append(row)
     return rows
@@ -338,6 +339,9 @@ def cmd_train(args) -> int:
                 model = _fit_stage_forest(stage_ds, best, plan, seed, threads)
             else:
                 model = _fit_stage_svm(stage_ds, best, plan, seed)
+                if not model.converged:
+                    print(f"warning: stage {name} SVM {best.describe()} did not converge "
+                          "within the update cap", file=sys.stderr)
             members.append(SubModel(name, threshold, model))
             print(f"stage {name}: best {tuning.best.describe()} "
                   f"(AC_cv {mx.format_percent(tuning.best.ac_cv)}, F1_cv {mx.format_percent(tuning.best.f1_cv)})")
@@ -357,7 +361,7 @@ def cmd_train(args) -> int:
     report_path = out / "cv_report.csv"
     fieldnames = [
         "threshold", "stage", "sampling", "blk", "nblk", "ac_cv", "f1_cv",
-        "config", "n_estimators", "max_depth", "kernel", "C", "degree",
+        "config", "n_estimators", "max_depth", "kernel", "C", "degree", "converged",
     ]
     with open(report_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)

@@ -428,6 +428,9 @@ class ConfigResult:
     f1_cv: float
     binary_ac_cv: float | None = None
     observed_max_depth: int | None = None
+    # SVMs: whether every fold's fit converged. None for learners without a
+    # convergence test.
+    converged: bool | None = None
     fold_ac: list[float] = field(default_factory=list)
     fold_f1: list[float] = field(default_factory=list)
 
@@ -458,6 +461,7 @@ def _binary_view(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray] | Non
 
 def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: int,
                      mlp_hidden: tuple[int, ...], mlp_train_config: TrainConfig):
+    """Validation predictions, and whether the fit converged (None for MLPs)."""
     if isinstance(config, SvmConfig):
         if len(train_ds.class_names) != 2:
             raise InvalidInputError("SVM tuning requires binary labels")
@@ -465,7 +469,7 @@ def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: 
         spec = KernelSpec(config.kernel, degree=config.degree)
         model = svm_fit(train_ds.matrix, y, spec, config.c)
         f = svm_decision_many(model, val_x)
-        return np.where(f >= 0.0, 0, 1)
+        return np.where(f >= 0.0, 0, 1), model.converged
     if isinstance(config, MlpGridConfig):
         cfg = replace(mlp_train_config, batch_size=config.batch_size, seed=seed)
         sizes = [train_ds.n_features, *mlp_hidden, len(train_ds.class_names)]
@@ -475,7 +479,7 @@ def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: 
             inner_train, inner_val = train_ds, train_ds
         result = mlp_train(model, inner_train, inner_val, cfg)
         probs = mlp_predict_proba(result.model, val_x)
-        return np.argmax(probs, axis=1)
+        return np.argmax(probs, axis=1), None
     raise InvalidInputError(f"unsupported config type {type(config).__name__}")
 
 
@@ -508,8 +512,11 @@ def tune_grid(
     configurations are scored on prefixes of one forest per (fold, max_depth),
     fitted at the largest size the space asks for.
 
-    Rankings order by AC_cv, then F1_cv, then the smaller model (fewer
-    estimators / smaller C / smaller batch). AC_cv is the dataset's native
+    Rankings put every configuration whose fit failed to converge in some
+    fold (``converged`` False; SVMs only) after all the others, then order
+    by AC_cv, then F1_cv, then the smaller model (fewer estimators / smaller
+    C / smaller batch). An unconverged configuration is thus picked only
+    when no configuration converged. AC_cv is the dataset's native
     accuracy (multiclass when labels are multiclass); F1 and binary accuracy
     are derived at the blocker boundary where the class layout defines one.
     """
@@ -527,6 +534,7 @@ def tune_grid(
     fold_f1: list[list[float]] = [[] for _ in space]
     fold_bin_ac: list[list[float]] = [[] for _ in space]
     depths: list[int | None] = [None] * len(space)
+    converged: list[bool | None] = [None] * len(space)
     for fold_idx, (train_idx, val_idx) in enumerate(folds.iter_train_val()):
         if len(val_idx) == 0:  # possible when k exceeds the row count
             continue
@@ -543,7 +551,11 @@ def tune_grid(
                 depths[c] = max(depths[c] or 0, model.observed_max_depth())
                 preds = forest_predict_many(model, val_ds.matrix)
             else:
-                preds = _fit_and_predict(config, train_ds, val_ds.matrix, seed, mlp_hidden, mlp_train_config)
+                preds, fit_converged = _fit_and_predict(
+                    config, train_ds, val_ds.matrix, seed, mlp_hidden, mlp_train_config
+                )
+                if fit_converged is not None:
+                    converged[c] = fit_converged and converged[c] is not False
             fold_ac[c].append(float(np.mean(preds == val_ds.labels)))
             if binary is not None:
                 blocker_truth = binary[0][val_idx]
@@ -562,6 +574,7 @@ def tune_grid(
             f1_cv=cv_estimate(fold_f1[c]) if fold_f1[c] else float("nan"),
             binary_ac_cv=cv_estimate(fold_bin_ac[c]) if fold_bin_ac[c] and multiclass else None,
             observed_max_depth=depths[c],
+            converged=converged[c],
             fold_ac=fold_ac[c],
             fold_f1=fold_f1[c],
         )
@@ -571,7 +584,7 @@ def tune_grid(
     def rank_key(item: tuple[int, ConfigResult]):
         idx, r = item
         f1 = r.f1_cv if not math.isnan(r.f1_cv) else -1.0
-        return (-r.ac_cv, -f1, r.config.size_key(), idx)
+        return (r.converged is False, -r.ac_cv, -f1, r.config.size_key(), idx)
 
     ranked = [r for _, r in sorted(enumerate(results), key=rank_key)]
     counts = dataset.class_counts()

@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cardiotox import cli as cli_module
+from cardiotox import pipeline as pipeline_module
 from cardiotox.cli import main
-from cardiotox.learners import ForestModel, Tree
+from cardiotox.learners import ForestModel, Tree, svm_fit
 from cardiotox.learners import forest as forest_module
 from cardiotox.persistence import save_bundle
 from cardiotox.pipeline import PreprocessChain, SubModel, ToxTreePipeline
@@ -260,6 +263,55 @@ class TestTrain:
         assert not (tmp_path / "herg-toxtree.toxtree.json").exists()
 
 
+def unconverged_svm_fit(kind, c):
+    """svm_fit that reports converged=False for one (kernel, C) config."""
+
+    def fit(x, y, kernel, c_value):
+        model = svm_fit(x, y, kernel, c_value)
+        return replace(model, converged=False) if (kernel.kind, c_value) == (kind, c) else model
+
+    return fit
+
+
+class TestConvergenceReport:
+    def nav_train(self, trained, out):
+        return main(
+            [
+                "train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                "--target", "nav15", "--grid", "quick", "--folds", "2", "--seed", "3", "--out", str(out),
+            ]
+        )
+
+    def test_cv_report_marks_and_demotes_unconverged_config(self, trained, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "svm_fit", unconverged_svm_fit("linear", 1.0))
+        assert self.nav_train(trained, tmp_path) == 0
+        with open(tmp_path / "cv_report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        stages = {r["stage"] for r in rows}
+        assert stages == {"6svm", "5svm-ovrs", "4o5svm"}
+        for stage in stages:
+            ranked = [r for r in rows if r["stage"] == stage]
+            assert [r["converged"] for r in ranked] == ["true", "true", "false"]
+            assert ranked[-1]["config"] == "svm(linear,C=1)"
+
+    def test_cv_report_converged_empty_for_forests(self, trained):
+        with open(trained["out"] / "cv_report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and {r["converged"] for r in rows} == {""}
+
+    def test_unconverged_final_stage_warns(self, trained, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "svm_fit", lambda *args: replace(svm_fit(*args), converged=False))
+        assert self.nav_train(trained, tmp_path) == 0
+        err = capsys.readouterr().err
+        for stage in ("6svm", "5svm-ovrs", "4o5svm"):
+            assert f"warning: stage {stage} SVM svm(" in err
+        assert err.count("did not converge") == 3
+
+    def test_converged_final_stages_do_not_warn(self, trained, tmp_path, capsys):
+        assert self.nav_train(trained, tmp_path) == 0
+        assert "did not converge" not in capsys.readouterr().err
+
+
 class TestPredict:
     def test_predictions_match_truths(self, trained, tmp_path):
         out = tmp_path / "pred"
@@ -282,6 +334,19 @@ class TestPredict:
         )
         assert hits / len(trained["keys"]) >= 0.95
         assert all(r["deciding_stage"] for r in rows.values())
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "curate"])
+    def test_threads_flag_is_train_only(self, trained, tmp_path, capsys, command):
+        inputs = {
+            "predict": ["--bundle", str(trained["bundle"]), "--descriptors", str(trained["descriptors"])],
+            "evaluate": ["--bundle", str(trained["bundle"]), "--descriptors", str(trained["descriptors"]),
+                         "--compounds", str(trained["compounds"])],
+            "curate": ["--activities", str(tmp_path / "unused.csv")],
+        }[command]
+        code = main([command, *inputs, "--threads", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--threads" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_descriptor_file(self, trained, tmp_path):
         desc = tmp_path / "empty.csv"

@@ -394,6 +394,29 @@ class TestTuneGrid:
         tune_grid(space, dataset, k=2, seed=0, plan=ResamplePlan(Strategy.OVER_SAMPLE, seed=2))
         assert calls == [2 + 7919, 2 + 2 * 7919]
 
+    def test_unconverged_svm_ranks_after_converged(self, rng, monkeypatch):
+        dataset = self.binary_blobs(rng, per_class=20)
+        space = [SvmConfig("linear", 1.0), SvmConfig("rbf", 1.0), SvmConfig("rbf", 10.0)]
+        honest = tune_grid(space, dataset, k=3, seed=0)
+        stuck = honest.best.config
+        assert all(r.converged is True for r in honest.results)
+
+        def fit(x, y, kernel, c):
+            model = svm_fit(x, y, kernel, c)
+            hit = (kernel.kind, c) == (stuck.kernel, stuck.c)
+            return replace(model, converged=False) if hit else model
+
+        monkeypatch.setattr(pipeline_module, "svm_fit", fit)
+        result = tune_grid(space, dataset, k=3, seed=0)
+        assert [r.converged for r in result.results] == [r.config != stuck for r in honest.results]
+        assert [r.ac_cv for r in result.results] == [r.ac_cv for r in honest.results]
+        assert result.ranked[-1].config == stuck
+        assert [r.config for r in result.ranked[:-1]] == [r.config for r in honest.ranked if r.config != stuck]
+
+    def test_convergence_is_none_without_a_convergence_test(self, rng):
+        result = tune_grid([ForestConfig(5)], self.binary_blobs(rng, per_class=10), k=2, seed=0)
+        assert result.best.converged is None
+
     def test_nonpositive_forest_size_rejected(self):
         with pytest.raises(InvalidInputError):
             ForestConfig(0)

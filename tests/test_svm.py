@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardiotox.errors import InvalidInputError
 from cardiotox.learners import (
@@ -11,6 +13,8 @@ from cardiotox.learners import (
     svm_fit,
     svm_predict,
 )
+from cardiotox.learners.svm import KERNEL_KINDS
+from cardiotox.pipeline import SVM_C_VALUES
 
 
 def separable_problem(rng, n=200, gap=2.0):
@@ -23,6 +27,39 @@ def separable_problem(rng, n=200, gap=2.0):
     )
     y = np.array([1.0] * half + [-1.0] * (n - half))
     return x, y
+
+
+def kkt_violations(model, x, y, tol):
+    """Points whose margin y f(x) breaks the KKT condition for their alpha by
+    more than tol (plus 1e-9 slack), with f from the returned model."""
+    margins = y * svm_decision_many(model, x)
+    bad = []
+    for t, (a, m) in enumerate(zip(model.alphas, margins)):
+        if a < 1e-8:
+            ok = m >= 1.0 - tol - 1e-9
+        elif a > model.C - 1e-8:
+            ok = m <= 1.0 + tol + 1e-9
+        else:
+            ok = abs(m - 1.0) <= tol + 1e-9
+        if not ok:
+            bad.append(t)
+    return bad
+
+
+@st.composite
+def small_problems(draw):
+    """4-40 rows of 1-4 columns on a 0.1 grid, drawn with repetition from a
+    few distinct rows, so duplicates (with either label) are common."""
+    d = draw(st.integers(1, 4))
+    n_distinct = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.integers(-20, 20), min_size=n_distinct * d, max_size=n_distinct * d))
+    distinct = np.array(cells, dtype=float).reshape(n_distinct, d) / 10.0
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=4, max_size=40))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(picks), max_size=len(picks))))
+    if np.unique(y).size < 2:
+        y[0] = -y[0]
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    return distinct[picks], y, kind, float(draw(st.sampled_from(SVM_C_VALUES)))
 
 
 class TestKernelEval:
@@ -146,6 +183,24 @@ class TestSvmFit:
         model = svm_fit(x, y, KernelSpec("poly", degree=2), C=1.0)
         preds = np.where(svm_decision_many(model, x) >= 0, 1.0, -1.0)
         assert np.mean(preds == y) > 0.9
+
+
+class TestSvmFitProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(small_problems())
+    def test_converged_fits_meet_kkt_and_dual_constraints(self, problem):
+        x, y, kind, c = problem
+        tol = 1e-3
+        model = svm_fit(x, y, KernelSpec(kind), c, tol=tol)
+        assert np.all(model.alphas >= 0.0) and np.all(model.alphas <= c)
+        assert abs(float(model.alphas @ y)) <= 1e-6
+        if kind == "rbf":
+            assert model.converged
+        if model.converged:
+            assert kkt_violations(model, x, y, tol) == []
+        again = svm_fit(x, y, KernelSpec(kind), c, tol=tol)
+        assert np.array_equal(again.alphas, model.alphas)
+        assert again.bias == model.bias and again.converged == model.converged
 
 
 class TestSvmDecision:
