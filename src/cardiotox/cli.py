@@ -13,6 +13,7 @@ import csv
 import functools
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,9 @@ from .errors import (
 )
 from .learners import KernelSpec, forest_fit, svm_fit
 from .pipeline import (
+    OUTCOME_CLASS,
     ConsensusPair,
     ForestConfig,
-    Outcome,
     PreprocessChain,
     SubModel,
     SvmConfig,
@@ -43,20 +44,20 @@ from .pipeline import (
     svm_space,
     tune_grid,
 )
-from .preprocess import fit_pca, fit_scaler, transform_scaler
+from .preprocess import fit_pca, fit_scaler, project, transform_scaler
 from .resample import ResamplePlan, Strategy, balance
 
 DEFAULT_SEED = 1729
-DEFAULT_THRESHOLDS = (6.0, 5.0, 4.5)
+DEFAULT_THRESHOLDS = ds.CUTOFFS
+_CUTOFF_TEXT = ", ".join(f"{t:g}" for t in ds.CUTOFFS)
 
-_STAGE_PREFIX = {6.0: "6", 5.0: "5", 4.5: "4o5"}
 _STRATEGY_SUFFIX = {Strategy.ORIGINAL: "", Strategy.OVER_SAMPLE: "-ovrs", Strategy.UNDER_SAMPLE: "-unds"}
 
 # Default per-stage sampling when --resample is not given: the architectures
 # that won the published grid searches. The hERG weak stage is a consensus of
 # the original and over-sampled forests.
-_HERG_DEFAULT_SAMPLING = {6.0: Strategy.OVER_SAMPLE, 5.0: Strategy.OVER_SAMPLE, 4.5: "consensus"}
-_NAV_DEFAULT_SAMPLING = {6.0: Strategy.ORIGINAL, 5.0: Strategy.OVER_SAMPLE, 4.5: Strategy.ORIGINAL}
+_HERG_DEFAULT_SAMPLING = dict(zip(ds.CUTOFFS, (Strategy.OVER_SAMPLE, Strategy.OVER_SAMPLE, "consensus")))
+_NAV_DEFAULT_SAMPLING = dict(zip(ds.CUTOFFS, (Strategy.ORIGINAL, Strategy.OVER_SAMPLE, Strategy.ORIGINAL)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +86,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--descriptors", required=True)
     p.add_argument("--compounds", required=True)
     p.add_argument("--target", choices=("herg", "nav15"), default=None)
-    p.add_argument("--thresholds", default=None, help="descending subset of 6,5,4.5")
+    p.add_argument("--thresholds", default=None, help=f"descending subset of {_CUTOFF_TEXT}")
     p.add_argument(
         "--resample",
         choices=("original", "over", "under"),
@@ -149,9 +150,8 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     values = tuple(float(t) for t in text.split(",") if t.strip())
     if not values:
         raise ValueError("no thresholds given")
-    allowed = set(DEFAULT_THRESHOLDS)
-    if any(v not in allowed for v in values):
-        raise ValueError("thresholds must come from {6, 5, 4.5}")
+    if any(v not in ds.CUTOFFS for v in values):
+        raise ValueError(f"thresholds must come from {{{_CUTOFF_TEXT}}}")
     if list(values) != sorted(values, reverse=True) or len(set(values)) != len(values):
         raise ValueError("thresholds must be strictly descending")
     return values
@@ -190,8 +190,11 @@ def cmd_curate(args) -> int:
 
 
 def _aligned_data(table: ds.DescriptorTable, compounds, require_exact: bool):
-    by_key = {c.compound_key: c for c in compounds}
     desc_keys = set(table.row_keys)
+    if len(desc_keys) < len(table.row_keys):
+        repeated = sorted(k for k, n in Counter(table.row_keys).items() if n > 1)
+        raise InvalidInputError(f"descriptor row keys appear more than once: {repeated}")
+    by_key = {c.compound_key: c for c in compounds}
     comp_keys = set(by_key)
     if require_exact and desc_keys != comp_keys:
         orphans_d = sorted(desc_keys - comp_keys)
@@ -216,24 +219,17 @@ def _impute_missing(table: ds.DescriptorTable) -> ds.DescriptorTable:
     return imputed
 
 
-def _stage_plan(strategy: Strategy, seed: int, threshold: float) -> ResamplePlan:
-    return ResamplePlan(strategy, seed=seed + int(threshold * 10))
-
-
 def _stage_name(threshold: float, family: str, strategy: Strategy) -> str:
-    return f"{_STAGE_PREFIX[threshold]}{family}{_STRATEGY_SUFFIX[strategy]}"
+    prefix = f"{threshold:g}".replace(".", "o")
+    return f"{prefix}{family}{_STRATEGY_SUFFIX[strategy]}"
 
 
-def _fit_stage_forest(stage_ds, config: ForestConfig, plan: ResamplePlan, seed: int, threads: int):
-    final_ds = balance(stage_ds, plan) if plan.strategy is not Strategy.ORIGINAL else stage_ds
-    return forest_fit(final_ds, config.n_estimators, config.max_depth, seed=seed, threads=threads)
-
-
-def _fit_stage_svm(stage_ds, config: SvmConfig, plan: ResamplePlan, seed: int):
-    final_ds = balance(stage_ds, plan) if plan.strategy is not Strategy.ORIGINAL else stage_ds
+def _fit_stage(stage_ds, config: ForestConfig | SvmConfig, plan: ResamplePlan, seed: int, threads: int):
+    final_ds = balance(stage_ds, plan)
+    if isinstance(config, ForestConfig):
+        return forest_fit(final_ds, config.n_estimators, config.max_depth, seed=seed, threads=threads)
     y = np.where(final_ds.labels == 0, 1.0, -1.0)
-    spec = KernelSpec(config.kernel, degree=config.degree)
-    return svm_fit(final_ds.matrix, y, spec, config.c)
+    return svm_fit(final_ds.matrix, y, KernelSpec(config.kernel, degree=config.degree), config.c)
 
 
 def _grid_for(args, target: str) -> list:
@@ -304,7 +300,7 @@ def cmd_train(args) -> int:
     pca = None
     if target == "nav15":
         pca = fit_pca(processed, pca_energy)
-        processed = (processed - pca.mean) @ pca.components
+        processed = project(pca, processed)
         print(f"PCA keeps {pca.n_components} components ({pca.energy_captured:.4f} energy)")
 
     family = "rf" if target == "herg" else "svm"
@@ -330,18 +326,17 @@ def cmd_train(args) -> int:
 
         members = []
         for strategy in strategies:
-            plan = _stage_plan(strategy, seed, threshold)
+            plan = ResamplePlan(strategy, seed=seed + int(threshold * 10))
             tuning = tune_grid(space, stage_ds, k=folds, seed=seed, plan=plan)
             best = tuning.best.config
             name = _stage_name(threshold, family, strategy)
+            for warning in tuning.fold_warnings:
+                print(f"note: stage {name}: {warning}", file=sys.stderr)
             report_rows.extend(_cv_report_rows(threshold, name, strategy, tuning, family))
-            if family == "rf":
-                model = _fit_stage_forest(stage_ds, best, plan, seed, threads)
-            else:
-                model = _fit_stage_svm(stage_ds, best, plan, seed)
-                if not model.converged:
-                    print(f"warning: stage {name} SVM {best.describe()} did not converge "
-                          "within the update cap", file=sys.stderr)
+            model = _fit_stage(stage_ds, best, plan, seed, threads)
+            if family == "svm" and not model.converged:
+                print(f"warning: stage {name} SVM {best.describe()} did not converge "
+                      "within the update cap", file=sys.stderr)
             members.append(SubModel(name, threshold, model))
             print(f"stage {name}: best {tuning.best.describe()} "
                   f"(AC_cv {mx.format_percent(tuning.best.ac_cv)}, F1_cv {mx.format_percent(tuning.best.f1_cv)})")
@@ -371,11 +366,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    out = _out_dir(args)
-    pipeline = persistence.load_bundle(args.bundle)
+def _load_pipeline(path: str) -> ToxTreePipeline:
+    pipeline = persistence.load_bundle(path)
     if not isinstance(pipeline, ToxTreePipeline):
         raise InvalidInputError("bundle does not contain a pipeline")
+    return pipeline
+
+
+def cmd_predict(args) -> int:
+    out = _out_dir(args)
+    pipeline = _load_pipeline(args.bundle)
     table = ds.parse_descriptor_csv(args.descriptors)
     path = out / "predictions.csv"
     errors = 0
@@ -395,39 +395,21 @@ def cmd_predict(args) -> int:
     return 2 if errors else 0
 
 
-def _threshold_rank(threshold: float) -> int:
-    # minimum multiclass rank (strong=3 .. non=0) that counts as blocker at threshold
-    return {6.0: 3, 5.0: 2, 4.5: 1}[threshold]
-
-
-_OUTCOME_RANK = {
-    Outcome.STRONG_BLOCKER: 3,
-    Outcome.MODERATE_BLOCKER: 2,
-    Outcome.WEAK_BLOCKER: 1,
-    Outcome.NON_BLOCKER: 0,
-}
-
-
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    pipeline = persistence.load_bundle(args.bundle)
-    if not isinstance(pipeline, ToxTreePipeline):
-        raise InvalidInputError("bundle does not contain a pipeline")
+    pipeline = _load_pipeline(args.bundle)
     table = ds.parse_descriptor_csv(args.descriptors)
     compounds = ds.parse_compounds_csv(args.compounds)
-    keys, _, pic50, aligned = _aligned_data(table, compounds, require_exact=True)
+    # Keys are unique and match exactly, so pic50 follows the descriptor rows.
+    _, _, pic50, _ = _aligned_data(table, compounds, require_exact=True)
 
-    outcomes = []
-    for i, key in enumerate(table.row_keys):
-        outcomes.append(pipeline_predict(pipeline, table.row_mapping(i)))
-    by_key = dict(zip(table.row_keys, outcomes))
-    outcomes = [by_key[k] for k in keys]
-
-    truth_labels = [ds.assign_class(p).label_index for p in pic50]
-    pred_labels = [
-        mx.INCONCLUSIVE if o.outcome is Outcome.INCONCLUSIVE else 3 - _OUTCOME_RANK[o.outcome]
-        for o in outcomes
+    # Predicted potency class per row; None for an inconclusive outcome.
+    predicted = [
+        OUTCOME_CLASS.get(pipeline_predict(pipeline, table.row_mapping(i)).outcome)
+        for i in range(table.n_rows)
     ]
+    truth_labels = [ds.assign_class(p).label_index for p in pic50]
+    pred_labels = [mx.INCONCLUSIVE if c is None else c.label_index for c in predicted]
     q_multi = mx.multiclass_accuracy(pred_labels, truth_labels)
     confusion = mx.multiclass_confusion(truth_labels, pred_labels, ds.MULTICLASS_NAMES)
 
@@ -435,13 +417,10 @@ def cmd_evaluate(args) -> int:
     extra_rows = []
     thresholds = [s.threshold for s in pipeline.stages]
     for threshold in thresholds:
-        rank = _threshold_rank(threshold)
+        weakest_blocker = ds.assign_class(threshold)
         truth = [p >= threshold for p in pic50]
         # Inconclusive counts as non-blocker at every threshold.
-        pred = [
-            o.outcome is not Outcome.INCONCLUSIVE and _OUTCOME_RANK[o.outcome] >= rank
-            for o in outcomes
-        ]
+        pred = [c is not None and c >= weakest_blocker for c in predicted]
         counts = mx.confusion_from_labels(truth, pred, True)
         named_counts.append((f"{threshold:g}", counts))
         m = mx.binary_metrics(counts)

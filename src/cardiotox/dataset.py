@@ -30,6 +30,11 @@ MULTICLASS_NAMES = ("strong", "moderate", "weak", "non")
 DEFAULT_CELL_PREFERENCE = ("HEK293", "CHO")
 
 
+# PIC50 cut-offs of the 1 uM, 10 uM and 30 uM potencies, strongest first: the
+# i-th separates the i-th strongest PotencyClass from the weaker ones.
+CUTOFFS = (6.0, 5.0, 4.5)
+
+
 class PotencyClass(enum.IntEnum):
     """Blocker intensity classes, ordered STRONG > MODERATE > WEAK > NON."""
 
@@ -261,16 +266,16 @@ def resolve_duplicates(
 
 
 def assign_class(pic50: float) -> PotencyClass:
-    """Map a PIC50 to its potency class (blocker side inclusive at each cut)."""
+    """Map a PIC50 to its potency class (blocker side inclusive at each cut).
+
+    A cut-off maps to the weakest class that is a blocker at it.
+    """
     pic50 = float(pic50)
     if math.isnan(pic50):
         raise InvalidInputError("pic50 is NaN")
-    if pic50 >= 6.0:
-        return PotencyClass.STRONG
-    if pic50 >= 5.0:
-        return PotencyClass.MODERATE
-    if pic50 >= 4.5:
-        return PotencyClass.WEAK
+    for cls, cutoff in zip(reversed(PotencyClass), CUTOFFS):
+        if pic50 >= cutoff:
+            return cls
     return PotencyClass.NON
 
 
@@ -571,7 +576,7 @@ def write_compounds_csv(compounds: Sequence[Compound], sink) -> None:
 
 
 def parse_compounds_csv(source) -> list[Compound]:
-    """Read compounds written by write_compounds_csv."""
+    """Read compounds written by write_compounds_csv. Keys must be unique."""
     stream, owned = _open_source(source)
     try:
         reader = csv.DictReader(stream)
@@ -582,13 +587,21 @@ def parse_compounds_csv(source) -> list[Compound]:
         if missing:
             raise ParseError(f"missing required columns: {', '.join(missing)}", line=1)
         compounds = []
-        for lineno, row in enumerate(reader, start=2):
+        first_line: dict[str, int] = {}
+        for row in reader:
+            lineno = reader.line_num  # DictReader skips blank lines, so count physical ones
             try:
                 pic50 = float(row["pic50"])
             except (TypeError, ValueError):
                 raise ParseError(f"pic50 {row['pic50']!r} is not a number", line=lineno) from None
+            key = row["compound_key"].strip()
+            if key in first_line:
+                raise ParseError(
+                    f"duplicate compound key {key!r} (first on line {first_line[key]})", line=lineno
+                )
+            first_line[key] = lineno
             try:
-                compounds.append(Compound(row["compound_key"].strip(), (row["smiles"] or "").strip(), pic50))
+                compounds.append(Compound(key, (row["smiles"] or "").strip(), pic50))
             except InvalidInputError as exc:
                 raise ParseError(str(exc), line=lineno) from None
         return compounds

@@ -18,9 +18,12 @@ import numpy as np
 
 from .dataset import (
     BINARY_CLASS_NAMES,
+    CUTOFFS,
     MULTICLASS_NAMES,
     FoldPlan,
     LabeledDataset,
+    PotencyClass,
+    assign_class,
     stratified_kfold,
     stratified_split,
 )
@@ -54,11 +57,14 @@ class Outcome(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-_THRESHOLD_OUTCOME = {
-    6.0: Outcome.STRONG_BLOCKER,
-    5.0: Outcome.MODERATE_BLOCKER,
-    4.5: Outcome.WEAK_BLOCKER,
+# The potency class each outcome names; Inconclusive names none.
+OUTCOME_CLASS = {
+    Outcome.STRONG_BLOCKER: PotencyClass.STRONG,
+    Outcome.MODERATE_BLOCKER: PotencyClass.MODERATE,
+    Outcome.WEAK_BLOCKER: PotencyClass.WEAK,
+    Outcome.NON_BLOCKER: PotencyClass.NON,
 }
+_CLASS_OUTCOME = {cls: outcome for outcome, cls in OUTCOME_CLASS.items()}
 
 
 @dataclass(frozen=True)
@@ -101,10 +107,6 @@ def _stage_predict(model: Any, row: np.ndarray, positive_class: int) -> StagePre
     raise InvalidInputError(f"unsupported stage model type {type(model).__name__}")
 
 
-def _model_n_features(model: Any) -> int | None:
-    return getattr(model, "n_features", None)
-
-
 @dataclass
 class SubModel:
     """One trained binary stage: blocker-at-threshold vs the rest."""
@@ -115,11 +117,16 @@ class SubModel:
     positive_class: int = 0
 
     def __post_init__(self):
-        if float(self.threshold) not in _THRESHOLD_OUTCOME:
+        if float(self.threshold) not in CUTOFFS:
             raise InvalidInputError(
-                f"stage threshold must be one of {sorted(_THRESHOLD_OUTCOME)}, got {self.threshold}"
+                f"stage threshold must be one of {sorted(CUTOFFS)}, got {self.threshold}"
             )
         self.threshold = float(self.threshold)
+
+    @property
+    def n_features(self) -> int | None:
+        """Input width of the model; None for models that do not declare one."""
+        return getattr(self.model, "n_features", None)
 
     def predict(self, row: np.ndarray) -> StagePrediction:
         return _stage_predict(self.model, row, self.positive_class)
@@ -138,6 +145,11 @@ class ConsensusPair:
             raise InvalidInputError("consensus members must share a threshold")
         if self.prob_tolerance < 0:
             raise InvalidInputError("prob_tolerance must be nonnegative")
+        dim_a, dim_b = self.model_a.n_features, self.model_b.n_features
+        if dim_a is not None and dim_b is not None and dim_a != dim_b:
+            raise InvalidInputError(
+                f"consensus members expect different feature counts ({dim_a} vs {dim_b})"
+            )
 
     @property
     def threshold(self) -> float:
@@ -147,6 +159,12 @@ class ConsensusPair:
     def name(self) -> str:
         return f"consensus({self.model_a.name},{self.model_b.name})"
 
+    @property
+    def n_features(self) -> int | None:
+        """The members' shared input width, if either declares one."""
+        dim_a = self.model_a.n_features
+        return dim_a if dim_a is not None else self.model_b.n_features
+
 
 def consensus_predict(pair: ConsensusPair, row: np.ndarray) -> StagePrediction | None:
     """Joint verdict of a consensus pair; None means inconclusive.
@@ -155,12 +173,6 @@ def consensus_predict(pair: ConsensusPair, row: np.ndarray) -> StagePrediction |
     disagreement the more confident member wins, unless the probabilities are
     within prob_tolerance of each other.
     """
-    dim_a = _model_n_features(pair.model_a.model)
-    dim_b = _model_n_features(pair.model_b.model)
-    if dim_a is not None and dim_b is not None and dim_a != dim_b:
-        raise InvalidInputError(
-            f"consensus members expect different feature counts ({dim_a} vs {dim_b})"
-        )
     a = pair.model_a.predict(row)
     b = pair.model_b.predict(row)
     if a.blocker == b.blocker:
@@ -229,20 +241,12 @@ class ToxTreePipeline:
                 f"stage thresholds must be strictly descending, got {thresholds}"
             )
         out_dim = self.preprocessing.output_dim
-        if out_dim is not None:
-            for stage in self.stages:
-                models = (
-                    (stage.model_a.model, stage.model_b.model)
-                    if isinstance(stage, ConsensusPair)
-                    else (stage.model,)
+        for stage in self.stages:
+            dim = stage.n_features
+            if dim is not None and out_dim is not None and dim != out_dim:
+                raise InvalidInputError(
+                    f"stage {stage.name!r} expects {dim} features, preprocessing outputs {out_dim}"
                 )
-                for m in models:
-                    dim = _model_n_features(m)
-                    if dim is not None and dim != out_dim:
-                        raise InvalidInputError(
-                            f"stage {stage.name!r} expects {dim} features, "
-                            f"preprocessing outputs {out_dim}"
-                        )
 
     @property
     def stage_names(self) -> list[str]:
@@ -253,8 +257,9 @@ def pipeline_predict(pipeline: ToxTreePipeline, row) -> PredictionOutcome:
     """Route one descriptor row through the stages.
 
     The first blocker verdict maps its stage threshold to the class
-    (6 -> strong, 5 -> moderate, 4.5 -> weak); all-non-blocker rows come out
-    NonBlocker; a consensus stage may end Inconclusive.
+    ``assign_class`` gives that threshold (6 -> strong, 5 -> moderate,
+    4.5 -> weak); all-non-blocker rows come out NonBlocker; a consensus stage
+    may end Inconclusive.
     """
     vec = pipeline.preprocessing.apply_row(row)
     last: tuple[str, StagePrediction] | None = None
@@ -267,65 +272,10 @@ def pipeline_predict(pipeline: ToxTreePipeline, row) -> PredictionOutcome:
             decision = stage.predict(vec)
         if decision.blocker:
             return PredictionOutcome(
-                _THRESHOLD_OUTCOME[stage.threshold], stage.name, decision.probability
+                _CLASS_OUTCOME[assign_class(stage.threshold)], stage.name, decision.probability
             )
         last = (stage.name, decision)
     return PredictionOutcome(Outcome.NON_BLOCKER, last[0], last[1].probability)
-
-
-def build_herg_pipeline(
-    stage_models: Mapping[str, Any],
-    whitelist: Sequence[str] | None,
-    scaler: ScalerParams | None,
-    prob_tolerance: float = 1e-9,
-) -> ToxTreePipeline:
-    """Strong/moderate single forests plus the weak-stage consensus pair.
-
-    ``stage_models`` must provide '6rf-ovrs', '5rf-ovrs', '4o5rf', and
-    '4o5rf-ovrs'. Preprocessing is whitelist + scaler (no PCA).
-    """
-    required = ("6rf-ovrs", "5rf-ovrs", "4o5rf", "4o5rf-ovrs")
-    missing = [k for k in required if k not in stage_models]
-    if missing:
-        raise InvalidInputError(f"missing stage models: {', '.join(missing)}")
-    stages = [
-        SubModel("6rf-ovrs", 6.0, stage_models["6rf-ovrs"]),
-        SubModel("5rf-ovrs", 5.0, stage_models["5rf-ovrs"]),
-        ConsensusPair(
-            SubModel("4o5rf", 4.5, stage_models["4o5rf"]),
-            SubModel("4o5rf-ovrs", 4.5, stage_models["4o5rf-ovrs"]),
-            prob_tolerance,
-        ),
-    ]
-    chain = PreprocessChain(list(whitelist) if whitelist is not None else None, scaler, None)
-    return ToxTreePipeline(chain, stages)
-
-
-def build_nav_pipeline(
-    scaler: ScalerParams,
-    pca: PcaModel,
-    svm_models: Mapping[str, SvmModel],
-    whitelist: Sequence[str] | None = None,
-) -> ToxTreePipeline:
-    """SVM stages behind whitelist -> scaler -> PCA preprocessing."""
-    required = ("6svm", "5svm-ovrs", "4o5svm")
-    missing = [k for k in required if k not in svm_models]
-    if missing:
-        raise InvalidInputError(f"missing stage models: {', '.join(missing)}")
-    for name in required:
-        model = svm_models[name]
-        dim = _model_n_features(model)
-        if dim is not None and dim != pca.n_components:
-            raise InvalidInputError(
-                f"stage {name!r} expects {dim} features but PCA projects to {pca.n_components}"
-            )
-    stages = [
-        SubModel("6svm", 6.0, svm_models["6svm"]),
-        SubModel("5svm-ovrs", 5.0, svm_models["5svm-ovrs"]),
-        SubModel("4o5svm", 4.5, svm_models["4o5svm"]),
-    ]
-    chain = PreprocessChain(list(whitelist) if whitelist is not None else None, scaler, pca)
-    return ToxTreePipeline(chain, stages)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,10 @@ class ResamplePlan:
     strategy: Strategy = Strategy.ORIGINAL
     k_neighbors: int = 5
     seed: int = 0
-    # NearMiss variant; only version 1 is implemented.
-    nearmiss_version: int = 1
 
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise InvalidInputError("k_neighbors must be at least 1")
-        if self.nearmiss_version != 1:
-            raise InvalidInputError("only NearMiss version 1 is implemented")
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

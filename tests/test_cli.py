@@ -12,7 +12,7 @@ from cardiotox.cli import main
 from cardiotox.learners import ForestModel, Tree, svm_fit
 from cardiotox.learners import forest as forest_module
 from cardiotox.persistence import save_bundle
-from cardiotox.pipeline import PreprocessChain, SubModel, ToxTreePipeline
+from cardiotox.pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 
 from conftest import resigned
 
@@ -242,6 +242,25 @@ class TestTrain:
         assert code == 0
         assert (out / "herg-toxtree.toxtree.json").read_bytes() == trained["bundle"].read_bytes()
 
+    def test_duplicate_compound_key_exits_2(self, trained, tmp_path, capsys):
+        compounds = tmp_path / "c.csv"
+        write_compounds(compounds, [*trained["keys"], "c0"], [*trained["pic50"], 3.0])
+        code = main(["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(compounds),
+                     "--grid", "quick", "--folds", "3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"line {len(trained['keys']) + 2}: duplicate compound key 'c0'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "herg-toxtree.toxtree.json").exists()
+
+    def test_fold_warnings_are_noted(self, tmp_path, capsys):
+        keys, matrix, pic50 = synthetic_problem(np.random.default_rng(3), per_class=15)
+        write_descriptors(tmp_path / "d.csv", keys, matrix, ["f0", "f1", "f2"])
+        write_compounds(tmp_path / "c.csv", keys, pic50)
+        code = main(["train", "--descriptors", str(tmp_path / "d.csv"), "--compounds", str(tmp_path / "c.csv"),
+                     "--grid", "quick", "--thresholds", "6", "--folds", "20", "--out", str(tmp_path / "o")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "note: stage 6rf-ovrs: class 'blocker' has 15 samples, fewer than k=20 folds" in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["train", "--descriptors", "x.csv"]) == 1  # missing --compounds
 
@@ -348,6 +367,18 @@ class TestPredict:
         assert "--threads" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_duplicate_keys_keep_one_row_each(self, tmp_path):
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(class_code_pipeline(), bundle_path)
+        write_descriptors(tmp_path / "d.csv", ["a", "a", "b"], np.array([[3.0], [0.0], [2.0]]), ["f0"])
+        out = tmp_path / "o"
+        code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     "--out", str(out)])
+        assert code == 0
+        with open(out / "predictions.csv") as fh:
+            rows = [(r["compound_key"], r["outcome"]) for r in csv.DictReader(fh)]
+        assert rows == [("a", "strong-blocker"), ("a", "non-blocker"), ("b", "moderate-blocker")]
+
     def test_empty_descriptor_file(self, trained, tmp_path):
         desc = tmp_path / "empty.csv"
         desc.write_text("Name,f0,f1,f2\n")
@@ -382,6 +413,22 @@ class TestMalformedBundle:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "forest" in capsys.readouterr().err
+
+
+    def test_mismatched_consensus_members_exit_2(self, tmp_path, capsys):
+        pair = ConsensusPair(SubModel("4o5a", 4.5, stump_stage_model(0.5)),
+                             SubModel("4o5b", 4.5, stump_stage_model(1.5)))
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(ToxTreePipeline(PreprocessChain(), [pair]), bundle_path)
+        bundle = json.loads(bundle_path.read_text())
+        bundle["payload"]["stages"][0]["members"][1]["model"]["n_features"] = 2
+        bundle_path.write_text(resigned(bundle))
+        write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
+        code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "different feature counts (1 vs 2)" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.csv").exists()
 
 
 class TestEvaluate:
@@ -430,6 +477,34 @@ class TestEvaluate:
         assert row["AC"] == "86.7" and row["F1"] == "89.7"
         assert "71.2" in capsys.readouterr().out
 
+    def test_inconclusive_outcomes_count_as_non_blockers(self, tmp_path):
+        # the weak-stage stumps disagree with equal confidence on code 1
+        pair = ConsensusPair(SubModel("4o5a", 4.5, stump_stage_model(0.5)),
+                             SubModel("4o5b", 4.5, stump_stage_model(1.75)))
+        stages = [SubModel("6stub", 6.0, stump_stage_model(2.5)),
+                  SubModel("5stub", 5.0, stump_stage_model(1.5)), pair]
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(ToxTreePipeline(PreprocessChain(["f0"], None, None), stages), bundle_path)
+        keys = [f"c{i}" for i in range(6)]
+        write_descriptors(tmp_path / "d.csv", keys, np.array([[3.0], [2.0], [1.0], [0.0], [1.0], [1.0]]), ["f0"])
+        write_compounds(tmp_path / "c.csv", keys, [6.5, 5.5, 4.7, 3.5, 4.7, 3.5])
+        out = tmp_path / "o"
+        code = main(
+            ["evaluate", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+             "--compounds", str(tmp_path / "c.csv"), "--out", str(out)]
+        )
+        assert code == 0
+        rows = {r["threshold"]: r for r in csv.DictReader(io.StringIO((out / "metrics.csv").read_text()))}
+        assert (rows["4.5"]["TP"], rows["4.5"]["FN"], rows["4.5"]["TN"], rows["4.5"]["FP"]) == ("2", "2", "2", "0")
+        assert rows["multiclass"]["AC"] == "50.0"
+        lines = (out / "metrics.txt").read_text().splitlines()
+        header = next(line for line in lines if "inconclusive" in line).split()
+        confusion = {line.split()[0]: line.split()[1:] for line in lines[lines.index("confusion (rows = truth):") + 2:]}
+        column = header.index("inconclusive")
+        assert {name: int(cells[column]) for name, cells in confusion.items()} == {
+            "strong": 0, "moderate": 0, "weak": 2, "non": 1,
+        }
+
     def test_mismatched_keys_error_lists_orphans(self, tmp_path, capsys):
         bundle_path = tmp_path / "stub.toxtree.json"
         save_bundle(class_code_pipeline(), bundle_path)
@@ -442,3 +517,16 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert "zzz" in err and "b" in err
+
+    def test_duplicate_descriptor_key_exits_2(self, tmp_path, capsys):
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(class_code_pipeline(), bundle_path)
+        write_descriptors(tmp_path / "d.csv", ["a", "b", "a"], np.array([[3.0], [0.0], [0.0]]), ["f0"])
+        write_compounds(tmp_path / "c.csv", ["a", "b"], [6.5, 3.0])
+        code = main(
+            ["evaluate", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+             "--compounds", str(tmp_path / "c.csv"), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "descriptor row keys appear more than once: ['a']" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.csv").exists()

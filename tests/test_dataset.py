@@ -371,3 +371,11 @@ def test_compounds_csv_round_trip():
     write_compounds_csv(compounds, buf)
     restored = parse_compounds_csv(io.StringIO(buf.getvalue()))
     assert restored == compounds  # repr() serialization keeps pic50 exact
+
+
+def test_compounds_csv_rejects_duplicate_key():
+    from cardiotox.dataset import parse_compounds_csv
+
+    text = "compound_key,smiles,pic50\nc0,C,6.5\n\nc1,C,4.0\nc0,C,5.0\n"
+    with pytest.raises(ParseError, match=r"line 5: duplicate compound key 'c0' \(first on line 2\)"):
+        parse_compounds_csv(io.StringIO(text))

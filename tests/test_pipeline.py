@@ -18,8 +18,6 @@ from cardiotox.pipeline import (
     SubModel,
     SvmConfig,
     ToxTreePipeline,
-    build_herg_pipeline,
-    build_nav_pipeline,
     consensus_predict,
     herg_rf_space,
     mlp_space,
@@ -165,9 +163,8 @@ class TestConsensus:
         x2, y2 = make_blobs(rng, [[0, 0], [4, 4]], 20)
         m1 = forest_fit(labeled(x1, y1, ("blocker", "non-blocker")), 3, seed=0)
         m2 = forest_fit(labeled(x2, y2, ("blocker", "non-blocker")), 3, seed=0)
-        pair = ConsensusPair(SubModel("a", 4.5, m1), SubModel("b", 4.5, m2))
         with pytest.raises(InvalidInputError, match="feature"):
-            consensus_predict(pair, np.zeros(2))
+            ConsensusPair(SubModel("a", 4.5, m1), SubModel("b", 4.5, m2))
 
 
 class TestValidation:
@@ -189,33 +186,7 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             ToxTreePipeline(PreprocessChain(), [])
 
-
-def train_binary_forest(rng, n_features=1):
-    centers = [[0.0] * n_features, [4.0] * n_features]
-    x, y = make_blobs(rng, centers, 25)
-    return forest_fit(labeled(x, y, ("blocker", "non-blocker")), 5, seed=0)
-
-
-class TestBuilders:
-    def test_herg_builder_shape(self, rng):
-        model = train_binary_forest(rng)
-        scaler = fit_scaler(rng.normal(size=(20, 1)))
-        pipeline = build_herg_pipeline(
-            {"6rf-ovrs": model, "5rf-ovrs": model, "4o5rf": model, "4o5rf-ovrs": model},
-            whitelist=["f0"],
-            scaler=scaler,
-        )
-        assert pipeline.stage_names == ["6rf-ovrs", "5rf-ovrs", "consensus(4o5rf,4o5rf-ovrs)"]
-        assert pipeline.preprocessing.pca is None
-        outcome = pipeline_predict(pipeline, {"f0": 0.0})
-        assert isinstance(outcome.outcome, Outcome)
-
-    def test_herg_builder_missing_stage(self, rng):
-        model = train_binary_forest(rng)
-        with pytest.raises(InvalidInputError, match="4o5rf-ovrs"):
-            build_herg_pipeline({"6rf-ovrs": model, "5rf-ovrs": model, "4o5rf": model}, None, None)
-
-    def test_nav_builder_dimension_check(self, rng):
+    def test_stage_width_must_match_pca_output(self, rng):
         x = rng.normal(size=(60, 5))
         scaler = fit_scaler(x)
         scaled = transform_scaler(scaler, x)
@@ -223,14 +194,16 @@ class TestBuilders:
         k = pca.n_components
         y = np.where(scaled[:, 0] > 0, 1.0, -1.0)
         good = svm_fit(scaled @ pca.components, y, KernelSpec("rbf"), 1.0)
-        wrong = svm_fit(scaled[:, : max(1, k - 1)], y, KernelSpec("rbf"), 1.0)
-        models = {"6svm": good, "5svm-ovrs": good, "4o5svm": good}
-        pipeline = build_nav_pipeline(scaler, pca, models, whitelist=[f"f{i}" for i in range(5)])
+        wrong = svm_fit(scaled[:, : k - 1], y, KernelSpec("rbf"), 1.0)
+        chain = PreprocessChain([f"f{i}" for i in range(5)], scaler, pca)
+        pipeline = ToxTreePipeline(chain, [SubModel("6svm", 6.0, good), SubModel("4o5svm", 4.5, good)])
         row = {f"f{i}": float(v) for i, v in enumerate(x[0])}
         assert isinstance(pipeline_predict(pipeline, row).outcome, Outcome)
-        with pytest.raises(InvalidInputError, match="PCA"):
-            build_nav_pipeline(scaler, pca, {**models, "4o5svm": wrong})
+        with pytest.raises(InvalidInputError, match=f"expects {k - 1} features, preprocessing outputs {k}"):
+            ToxTreePipeline(chain, [SubModel("6svm", 6.0, good), SubModel("4o5svm", 4.5, wrong)])
 
+
+class TestBuilders:
     def test_nav_routing_with_stubs(self, rng):
         # stubs behind a real scaler+pca chain still route in stage order
         x = rng.normal(size=(40, 3))

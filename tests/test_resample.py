@@ -193,5 +193,3 @@ class TestBalance:
     def test_plan_validation(self):
         with pytest.raises(InvalidInputError):
             ResamplePlan(k_neighbors=0)
-        with pytest.raises(InvalidInputError):
-            ResamplePlan(nearmiss_version=2)
