@@ -109,6 +109,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--descriptors", required=True)
     p.add_argument("--compounds", required=True)
 
+    # Config-file values bypass argparse, so each command keeps its flags' choices to check them against.
+    for p in sub.choices.values():
+        p.set_defaults(flag_choices={a.dest: a.choices for a in p._actions if a.choices})
     return parser
 
 
@@ -135,6 +138,9 @@ def _merged(args: argparse.Namespace, key: str, default, convert=None):
     if value is None and getattr(args, "config", None):
         raw = _load_config_file(args.config).get(key)
         if raw is not None:
+            choices = getattr(args, "flag_choices", {}).get(key)
+            if choices is not None and raw not in choices:
+                raise UsageError(f"config {key}: invalid choice {raw!r} (choose from {', '.join(choices)})")
             value = raw
     if value is None:
         return default
@@ -274,8 +280,7 @@ def cmd_train(args) -> int:
     if threads < 1:
         raise UsageError(f"--threads must be at least 1, got {threads}")
     target = _merged(args, "target", "herg")
-    if target not in ("herg", "nav15"):
-        raise UsageError(f"unknown target {target!r}")
+    space = _grid_for(args, target)
     thresholds = _merged(args, "thresholds", DEFAULT_THRESHOLDS, _parse_thresholds)
     folds = _merged(args, "folds", 10, int)
     resample_flag = _merged(args, "resample", None)
@@ -304,7 +309,6 @@ def cmd_train(args) -> int:
         print(f"PCA keeps {pca.n_components} components ({pca.energy_captured:.4f} energy)")
 
     family = "rf" if target == "herg" else "svm"
-    space = _grid_for(args, target)
     default_sampling = _HERG_DEFAULT_SAMPLING if target == "herg" else _NAV_DEFAULT_SAMPLING
 
     report_rows = []

@@ -1,13 +1,14 @@
 """Versioned JSON bundles for every trained artifact.
 
-Learned reals are stored as hex floats (lossless round trips) with a decimal
-twin in a "~" comment field; a payload digest catches corruption. Saving is
-deterministic: the same model always produces the same bytes, and metadata
-rides along on loaded models so save(load(f)) reproduces f exactly.
+Bundles are compact canonical JSON. Float arrays are stored as base64
+little-endian float64 and scalars as hex floats (lossless round trips); a
+payload digest catches corruption. Saving is deterministic, and metadata rides
+along on loaded models so save(load(f)) reproduces f byte for byte.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from .learners import (
 from .pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 from .preprocess import PcaModel, ScalerParams
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 BUNDLE_EXTENSION = ".toxtree.json"
 DEFAULT_CREATED_AT = "1970-01-01T00:00:00Z"
 
@@ -40,7 +41,7 @@ def _enc_real(value: float) -> dict:
     value = float(value)
     if not math.isfinite(value):
         raise BundleError(f"cannot serialize non-finite value {value!r}")
-    return {"hex": value.hex(), "~": repr(value)}
+    return {"hex": value.hex()}
 
 
 def _dec_real(obj) -> float:
@@ -55,31 +56,25 @@ def _dec_real(obj) -> float:
 
 def _enc_array(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise BundleError("cannot serialize an array with non-finite values")
-    flat = arr.reshape(-1)
-    return {
-        "shape": list(arr.shape),
-        "hex": [v.hex() for v in flat.tolist()],
-        "~": [repr(v) for v in flat.tolist()],
-    }
+    return {"shape": list(arr.shape), "f64le": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
 
 
 def _dec_array(obj) -> np.ndarray:
     try:
-        shape = tuple(obj["shape"])
-        values = [float.fromhex(h) for h in obj["hex"]]
-    except (TypeError, KeyError, ValueError) as exc:
+        shape = obj["shape"]
+        raw = base64.b64decode(obj["f64le"], validate=True)
+    except (TypeError, KeyError, ValueError) as exc:  # binascii.Error is a ValueError
         raise BundleError(f"malformed array payload: {exc}") from exc
-    arr = np.array(values, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise BundleError("non-finite value in array payload")
-    expected = 1
-    for s in shape:
-        expected *= s
-    if arr.size != expected:
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise BundleError(f"malformed array shape {shape!r}")
+    if len(raw) != 8 * math.prod(shape):
         raise BundleError("array payload does not match its shape")
-    return arr.reshape(shape)
+    arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise BundleError("non-finite value in array payload")
+    return arr
 
 
 def _dec_ints(obj) -> np.ndarray:
@@ -325,9 +320,12 @@ def _decode_pipeline(payload: dict) -> ToxTreePipeline:
     return ToxTreePipeline(chain, stages)
 
 
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _payload_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
 def save_bundle(
@@ -360,7 +358,7 @@ def save_bundle(
         "payload": payload,
         "payload_sha256": _payload_digest(payload),
     }
-    text = json.dumps(bundle, sort_keys=True, indent=2) + "\n"
+    text = _canonical(bundle) + "\n"
     if hasattr(sink, "write"):
         sink.write(text)
     else:
@@ -391,6 +389,8 @@ def load_bundle(source) -> Any:
     for key in ("kind", "payload", "payload_sha256", "metadata"):
         if key not in bundle:
             raise BundleError(f"bundle is missing the {key!r} field")
+    if not isinstance(bundle["metadata"], dict):
+        raise BundleError("bundle metadata must be a JSON object")
     if _payload_digest(bundle["payload"]) != bundle["payload_sha256"]:
         raise BundleError("payload digest mismatch (bundle corrupted or truncated)")
     model = _decode_model(bundle["kind"], bundle["payload"])

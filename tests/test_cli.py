@@ -242,6 +242,16 @@ class TestTrain:
         assert code == 0
         assert (out / "herg-toxtree.toxtree.json").read_bytes() == trained["bundle"].read_bytes()
 
+    @pytest.mark.parametrize("key, value", [("grid", "full"), ("target", "mouse"), ("resample", "sideways")])
+    def test_config_value_outside_flag_choices_exits_1(self, trained, tmp_path, capsys, key, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"folds=3\n{key}={value}\n")
+        code = main(["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                     "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: config {key}: invalid choice '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "herg-toxtree.toxtree.json").exists()
+
     def test_duplicate_compound_key_exits_2(self, trained, tmp_path, capsys):
         compounds = tmp_path / "c.csv"
         write_compounds(compounds, [*trained["keys"], "c0"], [*trained["pic50"], 3.0])
@@ -428,6 +438,26 @@ class TestMalformedBundle:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "different feature counts (1 vs 2)" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda b: b.__setitem__("schema_version", 2), "schema_version 2", id="schema-2"),
+            pytest.param(lambda b: b.__setitem__("metadata", "tampered"), "metadata", id="metadata-not-object"),
+        ],
+    )
+    def test_unreadable_bundle_exits_2(self, tmp_path, capsys, edit, message):
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(class_code_pipeline(), bundle_path)
+        bundle = json.loads(bundle_path.read_text())
+        edit(bundle)
+        bundle_path.write_text(json.dumps(bundle))
+        write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
+        code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "predictions.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 
@@ -37,6 +38,10 @@ def roundtrip(model):
     save_bundle(model, buf, seed=0)
     text = buf.getvalue()
     return text, load_bundle(io.StringIO(text))
+
+
+def packed(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
 
 
 def build_models(rng):
@@ -115,6 +120,15 @@ class TestRoundTrips:
         save_bundle(restored, buf_c)
         assert buf_c.getvalue() == buf_a.getvalue()
 
+    def test_signed_zero_and_subnormals_round_trip_bit_for_bit(self, rng):
+        model = build_models(rng)["ridge"]
+        model.coefficients = np.array([-0.0, 5e-324, -2.5e-310])
+        model.intercept = -0.0
+        text, restored = roundtrip(model)
+        assert restored.coefficients.tobytes() == model.coefficients.tobytes()
+        assert np.array([restored.intercept]).tobytes() == np.array([-0.0]).tobytes()
+        assert json.loads(text)["payload"]["coefficients"]["f64le"] == packed([-0.0, 5e-324, -2.5e-310])
+
     def test_metadata_round_trips(self, rng, tmp_path):
         model = build_models(rng)["ridge"]
         path = tmp_path / f"model{BUNDLE_EXTENSION}"
@@ -163,12 +177,52 @@ class TestFailureModes:
 
     def test_corrupted_payload_byte(self, rng):
         text, _ = roundtrip(build_models(rng)["svm"])
-        marker = '"hex": "'
-        pos = text.index(marker) + len(marker)
-        # flip one hex digit inside the payload
-        corrupted = text[:pos] + ("1" if text[pos] != "1" else "2") + text[pos + 1 :]
-        with pytest.raises(BundleError):
-            load_bundle(io.StringIO(corrupted))
+        # flip one character inside a packed array, then inside a scalar hex float
+        for marker in ('"f64le":"', '"hex":"'):
+            pos = text.index(marker) + len(marker) + 4
+            corrupted = text[:pos] + ("1" if text[pos] != "1" else "2") + text[pos + 1 :]
+            with pytest.raises(BundleError):
+                load_bundle(io.StringIO(corrupted))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # non-strict base64 would skip the "!" and decode the array unchanged
+            pytest.param(lambda a: a.__setitem__("f64le", "!" + a["f64le"]), "malformed array payload", id="bad-base64"),
+            pytest.param(
+                lambda a: a.__setitem__("f64le", base64.b64encode(base64.b64decode(a["f64le"])[:-4]).decode()),
+                "shape",
+                id="bytes-not-8-per-value",
+            ),
+            pytest.param(lambda a: a.__setitem__("shape", [-1, -a["shape"][0]]), "shape", id="negative-shape"),
+            pytest.param(lambda a: a.__setitem__("shape", [float(a["shape"][0])]), "shape", id="float-shape"),
+            pytest.param(lambda a: a.__setitem__("shape", [a["shape"][0], True]), "shape", id="bool-shape"),
+            pytest.param(lambda a: a.__setitem__("f64le", packed([np.nan] * a["shape"][0])), "non-finite", id="nan"),
+            pytest.param(lambda a: a.__setitem__("f64le", packed([np.inf] * a["shape"][0])), "non-finite", id="inf"),
+        ],
+    )
+    def test_malformed_packed_array_rejected(self, rng, edit, match):
+        text, _ = roundtrip(build_models(rng)["svm"])
+        bundle = json.loads(text)
+        array = bundle["payload"]["dual_coefs"]
+        assert len(array["shape"]) == 1
+        edit(array)
+        with pytest.raises(BundleError, match=match):
+            load_bundle(io.StringIO(resigned(bundle)))
+
+    def test_schema_2_bundle_rejected(self, rng):
+        text, _ = roundtrip(build_models(rng)["forest"])
+        bundle = json.loads(text)
+        bundle["schema_version"] = 2
+        with pytest.raises(BundleError, match="schema_version 2"):
+            load_bundle(io.StringIO(json.dumps(bundle)))
+
+    def test_metadata_must_be_an_object(self, rng):
+        text, _ = roundtrip(build_models(rng)["ridge"])
+        bundle = json.loads(text)
+        bundle["metadata"] = "tampered"
+        with pytest.raises(BundleError, match="metadata"):
+            load_bundle(io.StringIO(json.dumps(bundle)))
 
     def test_truncated_bundle(self, rng):
         text, _ = roundtrip(build_models(rng)["pca"])
