@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import sys
 from collections import Counter
@@ -115,7 +114,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-@functools.lru_cache(maxsize=8)
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
@@ -135,8 +133,8 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 def _merged(args: argparse.Namespace, key: str, default, convert=None):
     value = getattr(args, key, None)
-    if value is None and getattr(args, "config", None):
-        raw = _load_config_file(args.config).get(key)
+    if value is None:
+        raw = args.config_values.get(key)
         if raw is not None:
             choices = getattr(args, "flag_choices", {}).get(key)
             if choices is not None and raw not in choices:
@@ -468,6 +466,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # Read once per call, so a later call in this process sees later edits.
+        args.config_values = _load_config_file(args.config) if args.config else {}
         handler = {
             "curate": cmd_curate,
             "train": cmd_train,

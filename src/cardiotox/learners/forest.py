@@ -2,7 +2,10 @@
 
 Each tree draws its bootstrap and feature subsets from a generator seeded by
 (forest seed, tree index), so a forest is bit-identical for a fixed seed no
-matter how many threads build it.
+matter how many threads build it. A forest's trees grow together: each step
+scores one waiting node of every tree in one batched split search, while
+each tree keeps its own preorder node numbering and its own generator
+stream, so every tree is the one it would be if grown alone.
 """
 
 from __future__ import annotations
@@ -78,74 +81,266 @@ def _gini_from_counts(counts: np.ndarray, total: int) -> float:
     return 1.0 - float(np.dot(p, p))
 
 
-def _sorted_block(x, feature_ids):
-    """The sampled columns sorted independently (stable), with each column's row order."""
-    block = x[:, feature_ids]
-    order = np.argsort(block, axis=0, kind="stable")
-    return block[order, np.arange(block.shape[1])], order
-
-
-def _pick_split(gain, xs, feature_ids, tol=0.0):
-    """Winner over a (candidate, feature) gain matrix.
-
-    Ties break to the lowest feature index (features scanned ascending, strict
-    improvement by more than ``tol``) and then the lowest threshold (first
-    argmax within a feature).
-    """
-    gain[xs[:-1] == xs[1:]] = -np.inf  # no threshold between equal values
-    rows = np.argmax(gain, axis=0)
-    best_j, best_gain = None, 0.0
-    for j, g in enumerate(gain[rows, np.arange(gain.shape[1])].tolist()):
-        if g > best_gain + tol:
-            best_j, best_gain = j, g
-    if best_j is None:
-        return None, None, 0.0
-    i = rows[best_j]
-    return feature_ids[best_j], (xs[i, best_j] + xs[i + 1, best_j]) / 2.0, best_gain
-
-
-def _best_gini_split(x, y, n_classes, feature_ids):
-    """Best (feature, threshold, gain) over midpoint candidates of every
-    sampled feature at once; ties break as in ``_pick_split``."""
-    n = len(y)
-    parent_counts = np.bincount(y, minlength=n_classes)
-    parent_gini = _gini_from_counts(parent_counts, n)
-    xs, order = _sorted_block(x, feature_ids)
-    onehot = (y[order][:, :, None] == np.arange(n_classes)).astype(float)
-    left = np.cumsum(onehot, axis=0)[:-1]  # (n - 1, features, classes)
-    right = parent_counts - left
-    nl = np.arange(1, n, dtype=float)[:, None]
-    nr = n - nl
-    gini_l = 1.0 - ((left / nl[:, :, None]) ** 2).sum(axis=2)
-    gini_r = 1.0 - ((right / nr[:, :, None]) ** 2).sum(axis=2)
-    gain = parent_gini - (nl / n * gini_l + nr / n * gini_r)
-    return _pick_split(gain, xs, feature_ids)
-
-
-def _best_sse_split(x, y, feature_ids):
-    """Best split by within-node squared-error reduction (regression)."""
-    n = len(y)
-    total_sum = y.sum()
-    total_sq = (y * y).sum()
-    parent_sse = total_sq - total_sum * total_sum / n
-    xs, order = _sorted_block(x, feature_ids)
-    ys = y[order]
-    left_sum = np.cumsum(ys, axis=0)[:-1]
-    left_sq = np.cumsum(ys * ys, axis=0)[:-1]
-    nl = np.arange(1, n, dtype=float)[:, None]
-    nr = n - nl
-    right_sum = total_sum - left_sum
-    right_sq = total_sq - left_sq
-    sse = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
-    gain = parent_sse - sse
-    return _pick_split(gain, xs, feature_ids, tol=1e-12 * max(1.0, abs(parent_sse)))
-
-
 def _leaf_mean(y: np.ndarray) -> float:
     # Unanimous targets return the exact value (float mean is not always exact).
     if np.all(y == y[0]):
         return float(y[0])
     return float(y.mean())
+
+
+# Rows one lockstep step scores at most. A step always takes at least one
+# node, so a larger node is scored alone; the cap bounds the batched search's
+# working memory and does not change which splits are found.
+_STEP_ROWS = 2048
+
+
+def _check_tree_settings(max_depth, min_leaf, features_per_split) -> None:
+    if features_per_split is not None and features_per_split < 1:
+        raise InvalidInputError(f"features_per_split must be at least 1, got {features_per_split}")
+    if max_depth is not None and max_depth < 0:
+        raise InvalidInputError(f"max_depth must be nonnegative, got {max_depth}")
+    if min_leaf < 1:
+        raise InvalidInputError(f"min_leaf must be at least 1, got {min_leaf}")
+
+
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Each cell's rank among its column's distinct values (NaNs share one).
+
+    Ordering a node's rows by rank orders them by value with the same ties,
+    so a stable sort on ranks is the stable sort on values."""
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    new_value = (xs[1:] != xs[:-1]) & ~(np.isnan(xs[1:]) & np.isnan(xs[:-1]))
+    ranks = np.zeros(x.shape, dtype=np.int32)
+    np.put_along_axis(ranks, order[1:], np.cumsum(new_value, axis=0), axis=0)
+    return ranks
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort along the last axis of integer keys in [0, bound).
+
+    numpy radix-sorts 16-bit keys, several times faster than its general
+    stable sort; the order is the same."""
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, axis=-1, kind="stable")
+
+
+def _class_sum(q: np.ndarray) -> np.ndarray:
+    """``q`` summed over its leading class axis, bit for bit as numpy sums a
+    contiguous row of classes. Two terms add to the same double in either
+    order, so the binary case skips numpy's slow length-2 reduction."""
+    if len(q) == 2:
+        return q[0] + q[1]
+    return np.moveaxis(q, 0, -1).copy().sum(axis=-1)
+
+
+def _gini_gains(ys, counts, sizes, seg, ends, nl, nr, n):
+    """Gini decrease at every (feature slot, sorted row) cut; ``ys`` holds
+    the class of each sorted row and ``counts`` each node's class counts.
+    Counts left of a cut are integer running sums less those before the
+    node's first row, so they are exact. Each node's own impurity stays a
+    per-node ``_gini_from_counts``: its dot product rounds differently from
+    an elementwise sum of squares."""
+    cum = (ys == np.arange(counts.shape[1])[:, None, None]).cumsum(axis=2)  # (class, slot, row)
+    left = cum - (cum[:, :, ends - 1] - counts.T[:, None, :])[:, :, seg]
+    right = counts.T[:, None, seg] - left
+    parent = np.array([_gini_from_counts(c, total) for c, total in zip(counts, sizes.tolist())])
+    gini_l = 1.0 - _class_sum((left / nl) ** 2)
+    gini_r = 1.0 - _class_sum((right / nr) ** 2)
+    return parent[seg] - (nl / n * gini_l + nr / n * gini_r), 0.0
+
+
+def _sse_gains(ys, y_nodes, seg, starts, ends, nl, nr):
+    """Squared-error decrease at every cut; ``ys`` holds the sorted targets
+    and ``y_nodes`` each node's targets in node order.
+
+    Float sums depend on their order, so each node's running sums start
+    from zero at its first row and its totals sum its rows in node order."""
+    left_sum = np.empty_like(ys)
+    left_sq = np.empty_like(ys)
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        np.cumsum(ys[:, a:b], axis=1, out=left_sum[:, a:b])
+        np.cumsum(ys[:, a:b] * ys[:, a:b], axis=1, out=left_sq[:, a:b])
+    total_sum = np.array([yy.sum() for yy in y_nodes])
+    total_sq = np.array([(yy * yy).sum() for yy in y_nodes])
+    parent = total_sq - total_sum * total_sum / (ends - starts)
+    right_sum = total_sum[seg] - left_sum
+    right_sq = total_sq[seg] - left_sq
+    sse = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
+    return parent[seg] - sse, 1e-12 * np.maximum(1.0, np.abs(parent))
+
+
+def _best_splits(x, y, ranks, n_classes, rows, sizes, feats, values):
+    """Best feature and threshold of each node in one batch; feature -1
+    where no cut improves the criterion.
+
+    Node s owns ``sizes[s]`` consecutive entries of ``rows`` (indices into
+    ``x``, in node order), samples the features ``feats[s]`` and has leaf
+    value ``values[s]``. All rows are sorted at once per feature slot by
+    (node, rank), which puts each node's rows in the stable value order of
+    its own feature. Cuts between equal values and after a node's last row
+    are excluded. A node's winner is its first feature slot (lowest
+    feature) whose best gain beats every earlier slot's by more than the
+    criterion's tolerance, at the first (lowest-threshold) cut with that
+    gain.
+    """
+    n_nodes, n_rows = len(sizes), len(rows)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    seg = np.repeat(np.arange(n_nodes), sizes)
+    # Flat index into x (and ranks) of each row's cell in each feature slot.
+    cells = rows * x.shape[1] + np.repeat(feats.T, sizes, axis=1)
+    order = _stable_order(seg * x.shape[0] + ranks.ravel()[cells], n_nodes * x.shape[0])
+    sorted_rows = rows[order]
+    xs = x.ravel()[np.take_along_axis(cells, order, axis=1)]
+    nl = (np.arange(n_rows) - starts[seg] + 1).astype(float)
+    n = sizes[seg].astype(float)
+    nr = n - nl
+    nr[ends - 1] = 1.0  # no cut after a node's last row; avoids 0/0
+    if n_classes is None:
+        y_nodes = [y[rows[a:b]] for a, b in zip(starts.tolist(), ends.tolist())]
+        gain, tol = _sse_gains(y[sorted_rows], y_nodes, seg, starts, ends, nl, nr)
+    else:
+        gain, tol = _gini_gains(y[sorted_rows], np.asarray(values), sizes, seg, ends, nl, nr, n)
+    gain[:, :-1][xs[:, :-1] == xs[:, 1:]] = -np.inf
+    gain[:, ends - 1] = -np.inf
+    top = np.maximum.reduceat(gain, starts, axis=1)  # (feature slot, node)
+    first = np.minimum.reduceat(np.where(gain == top[:, seg], np.arange(n_rows), n_rows), starts, axis=1)
+    slot = np.full(n_nodes, -1)
+    best = np.zeros(n_nodes)
+    for j, gains in enumerate(top):
+        better = gains > best + tol
+        slot[better] = j
+        best[better] = gains[better]
+    feature = np.full(n_nodes, -1)
+    threshold = np.full(n_nodes, np.nan)
+    split = np.flatnonzero(slot >= 0)
+    j = slot[split]
+    i = first[j, split]
+    feature[split] = feats[split, j]
+    threshold[split] = (xs[j, i] + xs[j, i + 1]) / 2.0
+    return feature, threshold
+
+
+def _children(x, y, n_classes, rows, sizes, feature, threshold) -> dict:
+    """(rows, value, pure) of the left (2s) and right (2s + 1) child of each
+    node s with ``feature[s]`` >= 0 whose cut leaves rows on both sides;
+    child rows keep node order.
+
+    A midpoint can fail to separate its two values: it rounds onto one of
+    two adjacent floats, overflows to infinity, or is NaN next to a NaN.
+    Such a node gets no children and stays a leaf."""
+    n_nodes = len(sizes)
+    seg = np.repeat(np.arange(n_nodes), sizes)
+    child = 2 * seg + ~(x.ravel()[rows * x.shape[1] + np.maximum(feature, 0)[seg]] <= threshold[seg])
+    child_sizes = np.bincount(child, minlength=2 * n_nodes)
+    grouped = rows[_stable_order(child, 2 * n_nodes)]
+    ends = np.cumsum(child_sizes).tolist()
+    if n_classes is not None:
+        counts = np.bincount(child * n_classes + y[rows], minlength=2 * n_nodes * n_classes).reshape(-1, n_classes)
+        pure = (counts.max(axis=1) == child_sizes).tolist()
+    kids = {}
+    for s in np.flatnonzero((feature >= 0) & (child_sizes[0::2] > 0) & (child_sizes[1::2] > 0)).tolist():
+        for c in (2 * s, 2 * s + 1):
+            part = grouped[ends[c] - child_sizes[c] : ends[c]]
+            kids[c] = _node_value(y, part, None) if n_classes is None else (part, counts[c], pure[c])
+    return kids
+
+
+def _node_value(y, rows, n_classes):
+    """(rows, leaf value, pure) of a node: class counts or target mean."""
+    yy = y[rows]
+    if n_classes is None:
+        return rows, _leaf_mean(yy), bool(np.all(yy == yy[0]))
+    counts = np.bincount(yy, minlength=n_classes)
+    return rows, counts, bool(counts.max() == len(rows))
+
+
+class _GrowingTree:
+    """One tree mid-growth: its generator, its preorder stack of nodes still
+    to visit and its nodes so far as [feature, threshold, left, right, value]."""
+
+    def __init__(self, rng: np.random.Generator, root: tuple):
+        self.rng = rng
+        # (depth, parent, is left child, (rows, value, pure)); a split pushes
+        # its right child first, so the left subtree is visited first.
+        self.stack = [(0, -1, True, root)]
+        self.nodes: list[list] = []
+        self.pending = None  # (node, depth, rows, features, value) awaiting a split search
+
+
+def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split, roots) -> list[Tree]:
+    """Grow one tree per (generator, source rows) root, all in lockstep.
+
+    Each tree visits its nodes in preorder, writing leaves, until it reaches
+    a node that needs a split search; that node draws its feature subset
+    from the tree's own generator and waits. One batched search then scores
+    the waiting nodes of as many trees as fit in ``_STEP_ROWS`` rows. A node
+    stays a leaf when it is pure, at ``max_depth``, smaller than
+    ``min_leaf`` or 2 rows, when no cut improves the criterion, or when the
+    winning cut sends every row one way (see ``_children``). So every
+    tree's nodes, numbering and generator draws are those of growing it
+    alone by recursion. ``n_classes`` None grows regression trees; rows are
+    indices into ``x``, so a bootstrap needs no copy of the matrix.
+    """
+    x = np.ascontiguousarray(x)
+    d = x.shape[1]
+    all_features = np.arange(d)
+    smallest = max(min_leaf, 2)
+
+    def next_search(tree):
+        stack, nodes = tree.stack, tree.nodes
+        while stack:
+            depth, parent, is_left, (rows, value, pure) = stack.pop()
+            node = len(nodes)
+            if parent >= 0:
+                nodes[parent][2 if is_left else 3] = node
+            nodes.append([-1, 0.0, -1, -1, value])
+            if pure or (max_depth is not None and depth >= max_depth) or len(rows) < smallest:
+                continue
+            if features_per_split < d:
+                feats = np.sort(tree.rng.choice(d, size=features_per_split, replace=False))
+            else:
+                feats = all_features
+            return node, depth, rows, feats, value
+        return None
+
+    trees = [_GrowingTree(rng, _node_value(y, rows, n_classes)) for rng, rows in roots]
+    active = trees
+    while active:
+        batch, waiting, total = [], [], 0
+        for tree in active:
+            if tree.pending is None:
+                tree.pending = next_search(tree)
+                if tree.pending is None:
+                    continue
+            waiting.append(tree)
+            size = len(tree.pending[2])
+            if not batch or total + size <= _STEP_ROWS:
+                batch.append(tree)
+                total += size
+        active = waiting
+        if not batch:
+            break
+        _, _, node_rows, feats, values = zip(*(t.pending for t in batch))
+        rows = np.concatenate(node_rows)
+        sizes = np.array([len(r) for r in node_rows])
+        feature, threshold = _best_splits(x, y, ranks, n_classes, rows, sizes, np.array(feats), values)
+        children = _children(x, y, n_classes, rows, sizes, feature, threshold)
+        for s, (tree, f, t) in enumerate(zip(batch, feature.tolist(), threshold.tolist())):
+            node, depth = tree.pending[:2]
+            tree.pending = None
+            if 2 * s in children:
+                tree.nodes[node][:2] = f, t
+                tree.stack.append((depth + 1, node, False, children[2 * s + 1]))
+                tree.stack.append((depth + 1, node, True, children[2 * s]))
+    value_type = float if n_classes is None else np.int64
+    grown = []
+    for t in trees:
+        feature, threshold, left, right, value = zip(*t.nodes)
+        grown.append(Tree(feature, threshold, left, right, np.array(value, dtype=value_type)))
+    return grown
 
 
 def tree_fit(
@@ -158,61 +353,28 @@ def tree_fit(
     n_classes: int | None = None,
     regression: bool = False,
 ) -> Tree:
-    """Grow one tree by recursive best-gain splits over a random feature subset.
+    """Grow one tree by best-gain splits over a random feature subset per node.
 
     Stops on max_depth, pure nodes, nodes smaller than min_leaf, or when no
-    split improves the criterion. Nodes are written in preorder.
+    split improves the criterion. Nodes are written in preorder. This is the
+    lockstep grower run on a single tree.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise InvalidInputError("tree_fit needs a non-empty 2-D matrix")
-    if not regression:
+    if x.ndim != 2 or x.shape[0] == 0 or y.shape != (x.shape[0],):
+        raise InvalidInputError("tree_fit needs a non-empty 2-D matrix and one target per row")
+    _check_tree_settings(max_depth, min_leaf, features_per_split)
+    if regression:
+        y, n_classes = y.astype(float), None
+    else:
         y = y.astype(int)
         if n_classes is None:
-            n_classes = int(y.max()) + 1 if y.size else 1
-    else:
-        y = y.astype(float)
-    d = x.shape[1]
-    features_per_split = min(max(features_per_split, 1), d)
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def grow(idx, depth):
-        node = len(feature)
-        yy = y[idx]
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(_leaf_mean(yy) if regression else np.bincount(yy, minlength=n_classes))
-        pure = np.all(yy == yy[0])
-        if (
-            pure
-            or (max_depth is not None and depth >= max_depth)
-            or len(idx) < min_leaf
-            or len(idx) < 2
-        ):
-            return node
-        if features_per_split < d:
-            feats = np.sort(rng.choice(d, size=features_per_split, replace=False))
-        else:
-            feats = np.arange(d)
-        xx = x[idx]
-        if regression:
-            f, split, gain = _best_sse_split(xx, yy, feats)
-        else:
-            f, split, gain = _best_gini_split(xx, yy, n_classes, feats)
-        if f is None or gain <= 0.0:
-            return node
-        go_left = xx[:, f] <= split
-        feature[node] = int(f)
-        threshold[node] = float(split)
-        left[node] = grow(idx[go_left], depth + 1)
-        right[node] = grow(idx[~go_left], depth + 1)
-        return node
-
-    grow(np.arange(x.shape[0]), 0)
-    return Tree(feature, threshold, left, right, np.array(value, dtype=float if regression else np.int64))
+            n_classes = int(y.max()) + 1
+        if y.min() < 0 or y.max() >= n_classes:
+            raise InvalidInputError(f"class labels must lie in [0, {n_classes})")
+    fps = min(features_per_split, x.shape[1])
+    roots = [(rng, np.arange(x.shape[0]))]
+    return _grow_trees(x, y, _dense_ranks(x), n_classes, max_depth, min_leaf, fps, roots)[0]
 
 
 @dataclass
@@ -254,26 +416,35 @@ def _fit_forest(
     x, y, n_classes, n_estimators, max_depth, seed, features_per_split, min_leaf, threads
 ) -> ForestModel:
     """Fit n_estimators trees, each on its own N-row bootstrap; n_classes None
-    grows regression trees."""
+    grows regression trees.
+
+    Tree i draws its bootstrap and then its feature subsets from the
+    generator seeded by (seed, i). With ``threads`` > 1, thread t grows trees
+    t, t + threads, ... in lockstep; the trees do not depend on the split.
+    """
     if n_estimators < 1:
         raise InvalidInputError("n_estimators must be at least 1")
     if threads < 1:
         raise InvalidInputError(f"threads must be at least 1, got {threads}")
-    d = x.shape[1]
+    _check_tree_settings(max_depth, min_leaf, features_per_split)
+    n, d = x.shape
     fps = features_per_split if features_per_split is not None else _default_features_per_split(d)
-
-    def build(i: int) -> Tree:
+    roots = []
+    for i in range(n_estimators):
         rng = np.random.default_rng((seed, i))
-        boot = rng.integers(0, x.shape[0], x.shape[0])
-        return tree_fit(
-            x[boot], y[boot], max_depth, min_leaf, fps, rng, n_classes=n_classes, regression=n_classes is None
-        )
+        roots.append((rng, rng.integers(0, n, n)))
+    ranks = _dense_ranks(x)
+
+    def grow(share) -> list[Tree]:
+        return _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, min(fps, d), share)
 
     if threads > 1:
+        trees: list[Tree] = [None] * n_estimators
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(n_estimators)))
+            for t, grown in enumerate(pool.map(grow, [roots[t::threads] for t in range(threads)])):
+                trees[t::threads] = grown
     else:
-        trees = [build(i) for i in range(n_estimators)]
+        trees = grow(roots)
     return ForestModel(trees, n_estimators, max_depth, fps, seed, d, n_classes, min_leaf)
 
 

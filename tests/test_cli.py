@@ -252,6 +252,17 @@ class TestTrain:
         assert f"error: config {key}: invalid choice '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "herg-toxtree.toxtree.json").exists()
 
+    def test_config_file_reread_by_each_call(self, trained, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        argv = ["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                "--config", str(config), "--out", str(tmp_path / "o")]
+        config.write_text("folds=3\ngrid = full\n")
+        assert main(argv) == 1
+        assert "error: config grid: invalid choice 'full'" in capsys.readouterr().err
+        config.write_text("folds=3\ngrid = quick\ntarget = mouse\n")
+        assert main(argv) == 1
+        assert "error: config target: invalid choice 'mouse'" in capsys.readouterr().err
+
     def test_duplicate_compound_key_exits_2(self, trained, tmp_path, capsys):
         compounds = tmp_path / "c.csv"
         write_compounds(compounds, [*trained["keys"], "c0"], [*trained["pic50"], 3.0])

@@ -124,6 +124,58 @@ def reference_sse_split(x, y, feature_ids):
     return best
 
 
+def reference_tree(x, y, n_classes, max_depth, min_leaf, features_per_split, rng):
+    """One tree grown alone by recursion, each node scored by the per-feature
+    reference split searches; n_classes None grows a regression tree.
+
+    Nodes are written in preorder and a node draws its feature subset from
+    ``rng`` when it is reached, so this is the tree the lockstep grower must
+    reproduce bit for bit."""
+    d = x.shape[1]
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(idx, depth):
+        node = len(feature)
+        yy = y[idx]
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(forest_module._leaf_mean(yy) if n_classes is None else np.bincount(yy, minlength=n_classes))
+        if np.all(yy == yy[0]) or (max_depth is not None and depth >= max_depth) or len(idx) < max(min_leaf, 2):
+            return node
+        if features_per_split < d:
+            feats = np.sort(rng.choice(d, size=features_per_split, replace=False))
+        else:
+            feats = np.arange(d)
+        xx = x[idx]
+        if n_classes is None:
+            f, split, _ = reference_sse_split(xx, yy, feats)
+        else:
+            f, split, _ = reference_gini_split(xx, yy, n_classes, feats)
+        if f is None:
+            return node
+        go_left = xx[:, f] <= split
+        feature[node], threshold[node] = int(f), float(split)
+        left[node] = grow(idx[go_left], depth + 1)
+        right[node] = grow(idx[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(len(y)), 0)
+    return Tree(feature, threshold, left, right, np.array(value, dtype=float if n_classes is None else np.int64))
+
+
+def reference_forest(x, y, n_classes, n_estimators, max_depth, seed, features_per_split, min_leaf):
+    """Each tree grown on its own: bootstrap, then feature draws, from (seed, i)."""
+    trees = []
+    for i in range(n_estimators):
+        rng = np.random.default_rng((seed, i))
+        boot = rng.integers(0, len(y), len(y))
+        trees.append(reference_tree(x[boot], y[boot], n_classes, max_depth, min_leaf,
+                                    min(features_per_split, x.shape[1]), rng))
+    return trees
+
+
 def trees_equal(a: Tree, b: Tree) -> bool:
     return all(
         np.array_equal(getattr(a, name), getattr(b, name))
@@ -161,6 +213,16 @@ class TestTreeFit:
         tree = tree_fit(x, y, max_depth=2, min_leaf=2, features_per_split=3, rng=rng, n_classes=2)
         assert tree.depth() <= 2
 
+    @pytest.mark.parametrize("regression", [False, True])
+    def test_cut_separating_no_rows_leaves_a_leaf(self, rng, regression):
+        # The best cut lies between 1 and inf; its midpoint is inf, so every
+        # row falls left. The depth cap only bounds a failure.
+        x = np.array([[0.0], [1.0], [np.inf], [np.inf]])
+        y = np.array([0, 0, 1, 1])
+        tree = tree_fit(x, y, max_depth=50, min_leaf=1, features_per_split=1, rng=rng, n_classes=2,
+                        regression=regression)
+        assert list(tree.feature) == [-1]
+
     def test_min_leaf_stops_split(self, rng):
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0, 1, 0])
@@ -187,21 +249,80 @@ def tied_problems(draw):
     return x, y, n_classes, draw(st.integers(1, d)), draw(st.sampled_from([None, 1, 2, 4])), draw(st.integers(0, 2**32))
 
 
+def fit_forest(x, y, n_classes, n_estimators, max_depth, seed, features_per_split, min_leaf, threads):
+    if n_classes is None:
+        return forest_regress_fit(x, y, n_estimators, max_depth, seed, features_per_split, min_leaf, threads)
+    dataset = labeled(x, y, tuple(f"c{i}" for i in range(n_classes)))
+    return forest_fit(dataset, n_estimators, max_depth, seed, features_per_split, min_leaf, threads)
+
+
 class TestSplitSearch:
     @settings(max_examples=300, deadline=None)
     @given(tied_problems())
     def test_matches_per_feature_reference(self, problem):
         x, y, n_classes, features_per_split, max_depth, seed = problem
-
-        def grow():
-            return tree_fit(x, y, max_depth, 2, features_per_split, np.random.default_rng(seed),
-                            n_classes=n_classes, regression=n_classes is None)
-
-        grown = grow()
-        with mock.patch.object(forest_module, "_best_gini_split", reference_gini_split), \
-                mock.patch.object(forest_module, "_best_sse_split", reference_sse_split):
-            expected = grow()
+        grown = tree_fit(x, y, max_depth, 2, features_per_split, np.random.default_rng(seed),
+                         n_classes=n_classes, regression=n_classes is None)
+        expected = reference_tree(x, y, n_classes, max_depth, 2, features_per_split, np.random.default_rng(seed))
         assert trees_equal(grown, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_problems(), st.integers(1, 8), st.integers(1, 4),
+           st.sampled_from([1, 7, 40, forest_module._STEP_ROWS]))
+    def test_forest_matches_independent_trees(self, problem, n_estimators, min_leaf, step_rows):
+        # Small row caps make a step take only some trees' nodes (the first
+        # step's roots alone exceed a cap of 7 or 40 rows).
+        x, y, n_classes, features_per_split, max_depth, seed = problem
+        expected = reference_forest(x, y, n_classes, n_estimators, max_depth, seed, features_per_split, min_leaf)
+        with mock.patch.object(forest_module, "_STEP_ROWS", step_rows):
+            for threads in (1, 4):
+                model = fit_forest(x, y, n_classes, n_estimators, max_depth, seed, features_per_split, min_leaf,
+                                   threads)
+                assert len(model.trees) == n_estimators
+                for grown, tree in zip(model.trees, expected):
+                    assert trees_equal(grown, tree)
+
+    def test_regression_sums_restart_at_each_node(self):
+        # Nodes of several trees share a step. Float running sums taken across
+        # the whole step differ from each node's own in the last bit, and tied
+        # targets turn such a bit into a different winning cut.
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(4, 30)), int(rng.integers(1, 4))
+            x = rng.integers(0, int(rng.integers(2, 8)), size=(n, d)).astype(float)
+            y = rng.choice([-1.5, 0.0, 0.1, 0.7, 2.0, 7.25], size=n)
+            model = forest_regress_fit(x, y, 8, None, seed, d, 2)
+            for grown, tree in zip(model.trees, reference_forest(x, y, None, 8, None, seed, d, 2)):
+                assert trees_equal(grown, tree), f"seed {seed}"
+
+    @pytest.mark.parametrize("n_classes", [None, 2, 3])
+    def test_first_step_beyond_row_cap(self, n_classes):
+        # 8 roots of 300 rows each are more than one step takes.
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 6, size=(300, 6)).astype(float)
+        y = rng.normal(size=300) if n_classes is None else rng.integers(0, n_classes, size=300)
+        assert 8 * 300 > forest_module._STEP_ROWS
+        expected = reference_forest(x, y, n_classes, 8, None, 17, 3, 2)
+        for threads in (1, 4):
+            model = fit_forest(x, y, n_classes, 8, None, 17, 3, 2, threads)
+            for grown, tree in zip(model.trees, expected):
+                assert trees_equal(grown, tree)
+
+
+class TestInvalidSettings:
+    @pytest.mark.parametrize("bad", [{"features_per_split": 0}, {"features_per_split": -3}, {"max_depth": -1},
+                                     {"min_leaf": 0}])
+    @pytest.mark.parametrize("fit", ["forest_fit", "forest_regress_fit", "tree_fit"])
+    def test_rejected(self, rng, fit, bad):
+        x, y = make_blobs(rng, [[0, 0], [4, 4]], 10)
+        kwargs = {"max_depth": None, "min_leaf": 2, "features_per_split": 2, **bad}
+        with pytest.raises(InvalidInputError):
+            if fit == "forest_fit":
+                forest_fit(labeled(x, y), 3, seed=0, **kwargs)
+            elif fit == "forest_regress_fit":
+                forest_regress_fit(x, y.astype(float), 3, seed=0, **kwargs)
+            else:
+                tree_fit(x, y, rng=rng, n_classes=2, **kwargs)
 
 
 class TestForestClassifier:
