@@ -413,13 +413,23 @@ def stratified_kfold(dataset: LabeledDataset, k: int, seed: int) -> FoldPlan:
     return FoldPlan(folds, warnings)
 
 
-_MISSING_TOKENS = {"", "nan", "infinity", "-infinity", "inf", "-inf"}
-
-
 def _open_source(source):
     if hasattr(source, "read"):
         return source, False
     return open(os.fspath(source), "r", encoding="utf-8", newline=""), True
+
+
+def _raise_bad_cell(feature_names: list[str], row: list[str], lineno: int) -> None:
+    """Raise ParseError naming the first cell of a row that is not blank and not a real."""
+    for name, cell in zip(feature_names, row[1:]):
+        token = cell.strip()
+        if token:
+            try:
+                float(token)
+            except ValueError:
+                raise ParseError(
+                    f"cell {token!r} in feature {name!r} is not a real number", line=lineno
+                ) from None
 
 
 def parse_descriptor_csv(source) -> DescriptorTable:
@@ -453,23 +463,14 @@ def parse_descriptor_csv(source) -> DescriptorTable:
                     f"expected {len(header)} columns, found {len(row)}", line=lineno
                 )
             row_keys.append(row[0].strip())
-            parsed = []
-            for name, cell in zip(feature_names, row[1:]):
-                token = cell.strip()
-                if token.lower() in _MISSING_TOKENS:
-                    parsed.append(math.nan)
-                    continue
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise ParseError(
-                        f"cell {token!r} in feature {name!r} is not a real number",
-                        line=lineno,
-                    ) from None
-                # Overflow to inf counts as missing, same as an Infinity token.
-                parsed.append(value if math.isfinite(value) else math.nan)
-            rows.append(parsed)
+            try:
+                rows.append([float(t) if t else math.nan for t in map(str.strip, row[1:])])
+            except ValueError:
+                _raise_bad_cell(feature_names, row, lineno)
+                raise
         values = np.array(rows, dtype=float) if rows else np.empty((0, len(feature_names)))
+        # NaN and Infinity tokens, and overflow to inf, count as missing.
+        values[~np.isfinite(values)] = np.nan
         return DescriptorTable(row_keys, feature_names, values)
     finally:
         if owned:

@@ -15,10 +15,18 @@ G = Qa - e and v = -y * G:
 Optimization stops when m - M <= 2 tol, with M the minimum of v over I_low,
 and the bias is (m + M) / 2: every point then meets its KKT condition
 y f(x) >= 1 (a = 0), = 1 (0 < a < C), <= 1 (a = C) to within tol.
+
+The fit builds the kernel matrix K and the curvature matrix a_it (already
+floored) once, and keeps v itself rather than G, as two arrays: v on I_up
+with -inf elsewhere, and v on I_low with +inf elsewhere. An update that
+moves a_i and a_j subtracts y_i K_i da_i + y_j K_j da_j from both in place,
+which equals -y * G after the gradient update to the last bit, since
+y_t = +-1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,73 +123,93 @@ def svm_fit(
 ) -> SvmModel:
     """SMO with second-order working-set selection until m - M <= 2 tol.
 
-    ``y`` must contain both classes, coded -1/+1. ``max_passes`` caps the
+    ``y`` must contain both classes, coded -1/+1, and ``x`` must be finite.
+    ``tol`` must be finite and positive. ``max_passes`` (>= 0) caps the
     number of pair updates; hitting it before the stopping rule holds
     returns a model with converged=False. The bias is (m + M) / 2 either way.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if C <= 0:
+    C = float(C)
+    if not C > 0:
         raise InvalidInputError(f"C must be positive, got {C}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
+    if max_passes < 0:
+        raise InvalidInputError(f"max_passes must be non-negative, got {max_passes}")
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise InvalidInputError("x must be 2-D with one label per row")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("x must be finite")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidInputError("labels must be coded -1/+1")
     if np.unique(y).size < 2:
         raise InvalidInputError("both classes must be present")
 
+    n = x.shape[0]
     spec = kernel.resolve(x.shape[1])
-    q = _kernel_matrix(spec, x, x)
-    q *= y[:, None]
-    q *= y[None, :]
-    q_diag = q.diagonal().copy()  # equals diag(K), since y_t^2 = 1
-    positive = y > 0
-    alpha = np.zeros(x.shape[0])
-    grad = -np.ones(x.shape[0])
-    # I_up and I_low at alpha = 0; only the two points an update moves change.
-    up = positive.copy()
-    low = ~positive
-    tau = 1e-12
+    k = _kernel_matrix(spec, x, x)
+    k_diag = k.diagonal()
+    # a_it for every pair; a row of it is one update's curvature vector.
+    curvature = np.multiply(k, -2.0)
+    curvature += np.add.outer(k_diag, k_diag)
+    curvature[~(curvature > 0.0)] = 1e-12
+    positive = (y > 0).tolist()
+    y_list = y.tolist()
+    alpha = [0.0] * n
+    # v = -y * G (= y at alpha = 0) on I_up and I_low, with -inf and +inf
+    # outside them; only the two points an update moves change sets.
+    v_up = np.where(y > 0, y, -np.inf)
+    v_low = np.where(y < 0, y, np.inf)
+    gain = np.empty(n)
+    score = np.empty(n)
 
-    converged = False
     updates = 0
     while True:
-        v = -y * grad
-        v_up = np.where(up, v, -np.inf)
-        i = int(np.argmax(v_up))
+        i = int(v_up.argmax())
         m = v_up[i]
-        v_low = np.where(low, v, np.inf)
         big_m = v_low.min()
-        if m - big_m <= 2.0 * tol:
-            converged = True
-            break
-        if updates == max_passes:
+        if m - big_m <= 2.0 * tol or updates == max_passes:
             break
         # Points outside I_low, or not below m, gain nothing and score 0.
-        gain = np.maximum(m - v_low, 0.0)
-        # a_it = K_ii + K_tt - 2 K_it, with K_it = y_i y_t Q_it.
-        curvature = q_diag[i] + q_diag - (2.0 * y[i]) * (y * q[i])
-        curvature = np.where(curvature > 0.0, curvature, tau)
-        score = gain * gain / curvature
-        j = int(np.argmax(score))
+        np.subtract(m, v_low, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        curvature_i = curvature[i]
+        np.multiply(gain, gain, out=score)
+        np.divide(score, curvature_i, out=score)
+        j = int(score.argmax())
         # Move a_i by +y_i t and a_j by -y_j t (y'a stays fixed), with t the
         # Newton step on this line cut back to the box.
         old_i, old_j = alpha[i], alpha[j]
         room_i = C - old_i if positive[i] else old_i
         room_j = old_j if positive[j] else C - old_j
-        step = min(gain[j] / curvature[j], room_i, room_j)
-        alpha[i] = (C if positive[i] else 0.0) if step == room_i else old_i + y[i] * step
-        alpha[j] = (0.0 if positive[j] else C) if step == room_j else old_j - y[j] * step
-        grad += q[i] * (alpha[i] - old_i) + q[j] * (alpha[j] - old_j)
+        step = min(gain[j] / curvature_i[j], room_i, room_j)
+        alpha[i] = (C if positive[i] else 0.0) if step == room_i else old_i + y_list[i] * step
+        alpha[j] = (0.0 if positive[j] else C) if step == room_j else old_j - y_list[j] * step
+        # v -= y * (Q_i da_i + Q_j da_j), with y_t Q_it = y_i K_it.
+        delta = k[i] * (y_list[i] * (alpha[i] - old_i)) + k[j] * (y_list[j] * (alpha[j] - old_j))
+        v_up -= delta
+        v_low -= delta
         for t in (i, j):
-            up[t] = alpha[t] < C if positive[t] else alpha[t] > 0.0
-            low[t] = alpha[t] > 0.0 if positive[t] else alpha[t] < C
+            # Every point is in I_up or I_low, so one of the two holds v_t.
+            v_t = v_up[t] if v_up[t] > -np.inf else v_low[t]
+            in_up = alpha[t] < C if positive[t] else alpha[t] > 0.0
+            in_low = alpha[t] > 0.0 if positive[t] else alpha[t] < C
+            v_up[t] = v_t if in_up else -np.inf
+            v_low[t] = v_t if in_low else np.inf
         updates += 1
 
+    converged = bool(m - big_m <= 2.0 * tol)
+    # Updates leave each zero of v as +0, while -y * G (whose G has only +0
+    # zeros) has -0 where y = +1. Take m and M from that form, so that a zero
+    # bias carries the same sign bit as the gradient form gives.
+    m = (-y * (0.0 - y * v_up))[i]
+    big_m = (-y * (0.0 - y * v_low)).min()
+    alpha = np.array(alpha)
     sv = alpha > 1e-8
     return SvmModel(
         kernel=spec,
-        C=float(C),
+        C=C,
         support_vectors=x[sv],
         dual_coefs=(alpha * y)[sv],
         bias=float((m + big_m) / 2.0),

@@ -200,7 +200,7 @@ class PreprocessChain:
                 if name not in row:
                     raise InvalidInputError(f"missing feature {name!r}")
                 v = float(row[name])
-                if math.isnan(v):
+                if not math.isfinite(v):
                     raise InvalidInputError(f"missing feature {name!r}")
                 values.append(v)
             vec = np.array(values, dtype=float)
@@ -210,6 +210,11 @@ class PreprocessChain:
                 raise InvalidInputError(
                     f"row has {vec.shape[0]} values, whitelist expects {len(self.whitelist)}"
                 )
+            bad = np.flatnonzero(~np.isfinite(vec))
+            if bad.size:
+                first = int(bad[0])
+                label = self.whitelist[first] if self.whitelist is not None else first
+                raise InvalidInputError(f"missing feature {label!r}")
         if self.scaler is not None:
             vec = transform_scaler(self.scaler, vec)[0]
         if self.pca is not None:

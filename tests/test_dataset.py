@@ -1,8 +1,11 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardiotox.dataset import (
     ActivityRecord,
@@ -285,7 +288,78 @@ class TestStratifiedKfold:
         assert all(np.array_equal(x, y) for x, y in zip(a.folds, b.folds))
 
 
+_MISSING_TOKENS = {"", "nan", "infinity", "-infinity", "inf", "-inf"}
+
+
+def reference_parse_values(text):
+    """Descriptor values cell by cell: (row keys, values) or the ParseError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader)
+    feature_names = [h.strip() for h in header[1:]]
+    row_keys, rows = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} columns, found {len(row)}", line=lineno)
+        row_keys.append(row[0].strip())
+        parsed = []
+        for name, cell in zip(feature_names, row[1:]):
+            token = cell.strip()
+            if token.lower() in _MISSING_TOKENS:
+                parsed.append(math.nan)
+                continue
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(
+                    f"cell {token!r} in feature {name!r} is not a real number", line=lineno
+                ) from None
+            parsed.append(value if math.isfinite(value) else math.nan)
+        rows.append(parsed)
+    values = np.array(rows, dtype=float) if rows else np.empty((0, len(feature_names)))
+    return row_keys, values
+
+
+EDGE_TOKENS = [
+    "", " ", "\t", "1.5", " -2 ", "NaN", "nan", "-nan", "+NaN", "Infinity", "-Infinity", "INF",
+    "-inf", "1e999", "-1e999", "1e-400", "1_0", "\u0661", "\u00a01\u2003", "\x1c3\x1f", "0x1p3",
+    "1,5", "--1", "abc", "nan(1)", "infinit", "1e", ".", "-0", "0.1",
+]
+
+
+@st.composite
+def descriptor_texts(draw):
+    """Small descriptor CSVs whose cells mix edge tokens, reals and junk."""
+    n_features = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.sampled_from(EDGE_TOKENS),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.text(alphabet="0123456789.eE+-_ naif", max_size=6),
+    )
+    lines = ["Name," + ",".join(f"f{j}" for j in range(n_features))]
+    for r in range(draw(st.integers(0, 5))):
+        width = n_features if draw(st.integers(0, 9)) else draw(st.integers(0, n_features + 1))
+        cells = draw(st.lists(cell, min_size=width, max_size=width))
+        lines.append(",".join([f"c{r}", *[f'"{c}"' if "," in c else c for c in cells]]))
+    return "\n".join(lines) + "\n"
+
+
 class TestParseDescriptorCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(descriptor_texts())
+    def test_matches_per_cell_reference(self, text):
+        try:
+            expected = reference_parse_values(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_descriptor_csv(io.StringIO(text))
+            assert str(got.value) == str(exc) and got.value.line == exc.line
+            return
+        table = parse_descriptor_csv(io.StringIO(text))
+        assert table.row_keys == expected[0]
+        assert table.values.tobytes() == expected[1].tobytes()
+
     def test_missing_cell_tokens(self):
         table = parse_descriptor_csv(io.StringIO("Name,f1,f2\nc1,1.5,\nc2,NaN,2.0\n"))
         assert table.row_keys == ["c1", "c2"]

@@ -108,6 +108,18 @@ class TestRouting:
         with pytest.raises(InvalidInputError, match="f2"):
             pipeline_predict(pipeline, {"f1": 1.0, "f2": float("nan")})
         assert pipeline_predict(pipeline, {"f1": 1.0, "f2": 2.0}).outcome is Outcome.STRONG_BLOCKER
+        with pytest.raises(InvalidInputError, match="missing feature 'f2'"):
+            pipeline_predict(pipeline, {"f1": 1.0, "f2": float("inf")})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_array_row_rejects_non_finite_values(self, bad):
+        stages = [SubModel("s", 6.0, StubStage(True))]
+        named = ToxTreePipeline(PreprocessChain(whitelist=["f1", "f2", "f3"]), stages)
+        with pytest.raises(InvalidInputError, match="missing feature 'f2'"):
+            pipeline_predict(named, np.array([1.0, bad, bad]))
+        unnamed = ToxTreePipeline(PreprocessChain(), stages)
+        with pytest.raises(InvalidInputError, match="missing feature 1"):
+            pipeline_predict(unnamed, np.array([1.0, bad, 3.0]))
 
     def test_consensus_inconclusive_outcome(self):
         pair = ConsensusPair(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardiotox.errors import InvalidInputError
@@ -13,7 +13,7 @@ from cardiotox.learners import (
     svm_fit,
     svm_predict,
 )
-from cardiotox.learners.svm import KERNEL_KINDS
+from cardiotox.learners.svm import KERNEL_KINDS, _kernel_matrix
 from cardiotox.pipeline import SVM_C_VALUES
 
 
@@ -44,6 +44,56 @@ def kkt_violations(model, x, y, tol):
         if not ok:
             bad.append(t)
     return bad
+
+
+def reference_svm_fit(x, y, kernel, C, tol=1e-3, max_passes=10_000):
+    """The SMO loop in its plain form: v = -y * G recomputed, and the
+    curvature vector built, at every update. Returns (alphas, bias, converged)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    spec = kernel.resolve(x.shape[1])
+    q = _kernel_matrix(spec, x, x)
+    q *= y[:, None]
+    q *= y[None, :]
+    q_diag = q.diagonal().copy()
+    positive = y > 0
+    alpha = np.zeros(x.shape[0])
+    grad = -np.ones(x.shape[0])
+    up = positive.copy()
+    low = ~positive
+    tau = 1e-12
+
+    converged = False
+    updates = 0
+    while True:
+        v = -y * grad
+        v_up = np.where(up, v, -np.inf)
+        i = int(np.argmax(v_up))
+        m = v_up[i]
+        v_low = np.where(low, v, np.inf)
+        big_m = v_low.min()
+        if m - big_m <= 2.0 * tol:
+            converged = True
+            break
+        if updates == max_passes:
+            break
+        gain = np.maximum(m - v_low, 0.0)
+        curvature = q_diag[i] + q_diag - (2.0 * y[i]) * (y * q[i])
+        curvature = np.where(curvature > 0.0, curvature, tau)
+        score = gain * gain / curvature
+        j = int(np.argmax(score))
+        old_i, old_j = alpha[i], alpha[j]
+        room_i = C - old_i if positive[i] else old_i
+        room_j = old_j if positive[j] else C - old_j
+        step = min(gain[j] / curvature[j], room_i, room_j)
+        alpha[i] = (C if positive[i] else 0.0) if step == room_i else old_i + y[i] * step
+        alpha[j] = (0.0 if positive[j] else C) if step == room_j else old_j - y[j] * step
+        grad += q[i] * (alpha[i] - old_i) + q[j] * (alpha[j] - old_j)
+        for t in (i, j):
+            up[t] = alpha[t] < C if positive[t] else alpha[t] > 0.0
+            low[t] = alpha[t] > 0.0 if positive[t] else alpha[t] < C
+        updates += 1
+    return alpha, float((m + big_m) / 2.0), converged
 
 
 @st.composite
@@ -159,6 +209,30 @@ class TestSvmFit:
         with pytest.raises(InvalidInputError):
             svm_fit(x, y, KernelSpec("linear"), C=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_rejected(self, bad):
+        x = np.array([[0.0], [1.0], [bad], [3.0]])
+        y = np.array([-1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="finite"):
+            svm_fit(x, y, KernelSpec("linear"), C=1.0)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"max_passes": -1}, {"tol": -1.0}, {"tol": 0.0}, {"tol": np.nan}, {"tol": np.inf}, {"C": np.nan}],
+    )
+    def test_bad_settings_rejected(self, setting):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([-1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(InvalidInputError, match=next(iter(setting))):
+            svm_fit(x, y, KernelSpec("linear"), **{"C": 1.0, **setting})
+
+    def test_zero_max_passes_returns_unconverged_at_once(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([-1.0, -1.0, 1.0, 1.0])
+        model = svm_fit(x, y, KernelSpec("linear"), C=1.0, max_passes=0)
+        assert not model.converged
+        assert np.all(model.alphas == 0.0)
+
     def test_max_passes_flags_nonconvergence(self, rng):
         x, y = separable_problem(rng, n=100, gap=0.3)
         model = svm_fit(x, y, KernelSpec("rbf", gamma=2.0), C=10.0, max_passes=1)
@@ -201,6 +275,20 @@ class TestSvmFitProperties:
         again = svm_fit(x, y, KernelSpec(kind), c, tol=tol)
         assert np.array_equal(again.alphas, model.alphas)
         assert again.bias == model.bias and again.converged == model.converged
+
+    # Identical rows with the linear kernel end with v = 0 at both ends of
+    # the stopping gap, so the reference's bias is -0.0.
+    @example(problem=(np.array([[-1.0], [-1.0], [0.0]]), np.array([1.0, 1.0, -1.0]), "linear", 1.0),
+             max_passes=10_000)
+    @settings(max_examples=300, deadline=None)
+    @given(small_problems(), st.sampled_from([0, 1, 2, 3, 5, 8, 13, 10_000]))
+    def test_matches_reference_bit_for_bit(self, problem, max_passes):
+        x, y, kind, c = problem
+        alphas, bias, converged = reference_svm_fit(x, y, KernelSpec(kind), c, max_passes=max_passes)
+        model = svm_fit(x, y, KernelSpec(kind), c, max_passes=max_passes)
+        assert model.alphas.tobytes() == alphas.tobytes()
+        assert model.bias.hex() == bias.hex()
+        assert model.converged == converged
 
 
 class TestSvmDecision:
