@@ -281,8 +281,12 @@ def cmd_train(args) -> int:
     space = _grid_for(args, target)
     thresholds = _merged(args, "thresholds", DEFAULT_THRESHOLDS, _parse_thresholds)
     folds = _merged(args, "folds", 10, int)
+    if folds < 2:
+        raise UsageError(f"--folds must be at least 2, got {folds}")
     resample_flag = _merged(args, "resample", None)
     pca_energy = _merged(args, "pca_energy", 0.90, float)
+    if not 0.0 < pca_energy <= 1.0:  # NaN fails too
+        raise UsageError(f"--pca-energy must be in (0, 1], got {pca_energy}")
 
     table = ds.parse_descriptor_csv(args.descriptors)
     compounds = ds.parse_compounds_csv(args.compounds)

@@ -7,6 +7,7 @@ weak, and non-blocker classes, or binarized at a single threshold.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import math
@@ -413,10 +414,16 @@ def stratified_kfold(dataset: LabeledDataset, k: int, seed: int) -> FoldPlan:
     return FoldPlan(folds, warnings)
 
 
-def _open_source(source):
-    if hasattr(source, "read"):
-        return source, False
-    return open(os.fspath(source), "r", encoding="utf-8", newline=""), True
+@contextlib.contextmanager
+def text_stream(source, mode: str = "r"):
+    """A caller's open text stream, used as is and never closed here, or a
+    path opened as UTF-8 with newline="" (as the csv module needs) and closed
+    on exit."""
+    if hasattr(source, "read" if mode == "r" else "write"):
+        yield source
+    else:
+        with open(os.fspath(source), mode, encoding="utf-8", newline="") as stream:
+            yield stream
 
 
 def _raise_bad_cell(feature_names: list[str], row: list[str], lineno: int) -> None:
@@ -439,8 +446,7 @@ def parse_descriptor_csv(source) -> DescriptorTable:
     everything else must parse as a finite real. Ragged rows and duplicate
     feature names raise ParseError with the offending line number.
     """
-    stream, owned = _open_source(source)
-    try:
+    with text_stream(source) as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -472,9 +478,6 @@ def parse_descriptor_csv(source) -> DescriptorTable:
         # NaN and Infinity tokens, and overflow to inf, count as missing.
         values[~np.isfinite(values)] = np.nan
         return DescriptorTable(row_keys, feature_names, values)
-    finally:
-        if owned:
-            stream.close()
 
 
 _UNIT_ALIASES = {"m": "M", "mm": "mM", "um": "uM", "nm": "nM"}
@@ -489,8 +492,7 @@ def parse_activity_csv(source) -> list[ActivityRecord]:
     cell_line, reference_ordinal. Unit and kind tokens are case-insensitive;
     unknown tokens raise ParseError.
     """
-    stream, owned = _open_source(source)
-    try:
+    with text_stream(source) as stream:
         reader = csv.DictReader(stream)
         if reader.fieldnames is None:
             raise ParseError("empty activity stream (no header row)", line=1)
@@ -536,15 +538,11 @@ def parse_activity_csv(source) -> list[ActivityRecord]:
             except InvalidInputError as exc:
                 raise ParseError(str(exc), line=lineno) from None
         return records
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_key_overrides(source) -> dict[str, str]:
     """Read a key override file: raw_key<TAB>canonical_key per line, '#' comments."""
-    stream, owned = _open_source(source)
-    try:
+    with text_stream(source) as stream:
         overrides: dict[str, str] = {}
         for lineno, raw in enumerate(stream, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -555,31 +553,20 @@ def load_key_overrides(source) -> dict[str, str]:
                 raise ParseError("expected raw_key<TAB>canonical_key", line=lineno)
             overrides[parts[0].strip()] = parts[1].strip()
         return overrides
-    finally:
-        if owned:
-            stream.close()
 
 
 def write_compounds_csv(compounds: Sequence[Compound], sink) -> None:
     """Write curated compounds as compound_key,smiles,pic50 rows."""
-    stream, owned = (sink, False) if hasattr(sink, "write") else (
-        open(os.fspath(sink), "w", encoding="utf-8", newline=""),
-        True,
-    )
-    try:
+    with text_stream(sink, "w") as stream:
         writer = csv.writer(stream)
         writer.writerow(["compound_key", "smiles", "pic50"])
         for c in compounds:
             writer.writerow([c.compound_key, c.smiles, repr(c.pic50)])
-    finally:
-        if owned:
-            stream.close()
 
 
 def parse_compounds_csv(source) -> list[Compound]:
     """Read compounds written by write_compounds_csv. Keys must be unique."""
-    stream, owned = _open_source(source)
-    try:
+    with text_stream(source) as stream:
         reader = csv.DictReader(stream)
         if reader.fieldnames is None:
             raise ParseError("empty compound stream (no header row)", line=1)
@@ -606,6 +593,3 @@ def parse_compounds_csv(source) -> list[Compound]:
             except InvalidInputError as exc:
                 raise ParseError(str(exc), line=lineno) from None
         return compounds
-    finally:
-        if owned:
-            stream.close()

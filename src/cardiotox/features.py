@@ -3,12 +3,11 @@ and L1-regularized (coordinate descent) embedded selection."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DescriptorTable
+from .dataset import DescriptorTable, text_stream
 from .errors import InvalidInputError
 from .preprocess import fit_scaler, transform_scaler
 
@@ -312,11 +311,8 @@ def variance_report(matrix: np.ndarray, feature_names: list[str]) -> list[tuple[
 
 def load_feature_whitelist(source) -> list[str]:
     """One feature name per line; '#' starts a comment; blanks skipped."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(os.fspath(source), "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    with text_stream(source) as stream:
+        lines = stream.read().splitlines()
     names = []
     for raw in lines:
         name = raw.split("#", 1)[0].strip()

@@ -20,6 +20,19 @@ from ..dataset import LabeledDataset
 from ..errors import InvalidInputError
 
 
+def _node_ints(values, what: str) -> np.ndarray:
+    """values as int64. Floats and bools are refused, not truncated or cast:
+    an array by its dtype, anything else (such as a decoded bundle's lists)
+    element by element."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(values, dtype=np.int64 if set(map(type, values)) <= {int} else object)
+    if values.dtype == object and set(map(type, values.flat)) <= {int}:
+        values = values.astype(np.int64)
+    if values.dtype.kind not in "iu":
+        raise InvalidInputError(f"tree {what} must be integers")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass
 class Tree:
     """One tree as parallel node arrays in preorder; node 0 is the root.
@@ -39,11 +52,12 @@ class Tree:
     value: np.ndarray
 
     def __post_init__(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.feature = _node_ints(self.feature, "features")
         self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value)
+        self.left = _node_ints(self.left, "children")
+        self.right = _node_ints(self.right, "children")
+        value = np.asarray(self.value)
+        self.value = _node_ints(value, "class counts") if value.ndim == 2 else value
         n = self.feature.shape[0]
         arrays = (self.feature, self.threshold, self.left, self.right)
         if n == 0 or any(a.shape != (n,) for a in arrays) or self.value.shape[:1] != (n,):
@@ -338,8 +352,8 @@ def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split,
     value_type = float if n_classes is None else np.int64
     grown = []
     for t in trees:
-        feature, threshold, left, right, value = zip(*t.nodes)
-        grown.append(Tree(feature, threshold, left, right, np.array(value, dtype=value_type)))
+        feature, threshold, left, right, value = map(np.array, zip(*t.nodes))
+        grown.append(Tree(feature, threshold, left, right, value.astype(value_type, copy=False)))
     return grown
 
 

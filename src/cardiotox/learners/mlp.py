@@ -44,6 +44,22 @@ class MlpModel:
     batchnorm: list[BatchNormParams] | None
     mode: str = "eval"  # train | eval
 
+    def __post_init__(self):
+        self.layer_sizes = sizes = tuple(self.layer_sizes)
+        links = list(zip(sizes, sizes[1:]))
+        if not links:
+            raise InvalidInputError("layer_sizes must name an input and an output layer")
+        if [np.shape(w) for w in self.weights] != links or [np.shape(b) for b in self.biases] != [(n,) for _, n in links]:
+            raise InvalidInputError(f"weights and biases do not match layer_sizes {sizes}")
+        if self.batchnorm is not None and [
+            {np.shape(a) for a in vars(bn).values()} for bn in self.batchnorm
+        ] != [{(n,)} for n in sizes[1:-1]]:
+            raise InvalidInputError("batch norm parameters do not match the hidden layer sizes")
+        if self.activation not in ACTIVATIONS:
+            raise InvalidInputError(f"unknown activation {self.activation!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise InvalidInputError("dropout_rate must be in [0, 1)")
+
     @property
     def n_features(self) -> int:
         return self.layer_sizes[0]
@@ -93,10 +109,6 @@ def mlp_init(
     layer_sizes = tuple(int(s) for s in layer_sizes)
     if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
         raise InvalidInputError("layer_sizes must be >= 2 positive integers")
-    if activation not in ACTIVATIONS:
-        raise InvalidInputError(f"unknown activation {activation!r}")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise InvalidInputError("dropout_rate must be in [0, 1)")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []

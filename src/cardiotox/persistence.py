@@ -1,327 +1,188 @@
 """Versioned JSON bundles for every trained artifact.
 
-Bundles are compact canonical JSON. Float arrays are stored as base64
-little-endian float64 and scalars as hex floats (lossless round trips); a
-payload digest catches corruption. Saving is deterministic, and metadata rides
-along on loaded models so save(load(f)) reproduces f byte for byte.
+A bundle holds one object from a fixed table of dataclasses, and their fields
+are the schema: an object is stored as a ``type`` tag plus its fields, each
+decoded field must fit its annotation, and the object is rebuilt through its
+own constructor, so each class's checks validate what is loaded. Float arrays are stored as base64 little-endian float64 with their
+shape and float scalars as hex floats (lossless round trips); ints, strings,
+bools and None are plain JSON; integer arrays are JSON int lists, flat with
+their shape beyond one dimension. A payload digest catches corruption. Saving
+is deterministic, and metadata rides along on loaded models so save(load(f))
+reproduces f byte for byte.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import json
 import math
-import os
+import types
+import typing
 from typing import Any
 
 import numpy as np
 
+from .dataset import text_stream
 from .errors import BundleError
-from .learners import (
-    BatchNormParams,
-    ForestModel,
-    KernelSpec,
-    MlpModel,
-    RidgeModel,
-    SvmModel,
-    Tree,
-)
+from .learners import BatchNormParams, ForestModel, KernelSpec, MlpModel, RidgeModel, SvmModel, Tree
 from .pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 from .preprocess import PcaModel, ScalerParams
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 BUNDLE_EXTENSION = ".toxtree.json"
 DEFAULT_CREATED_AT = "1970-01-01T00:00:00Z"
 
 _METADATA_ATTR = "_bundle_metadata"
+# Not "kind": KernelSpec has a field of that name.
+_TYPE_KEY = "type"
+
+# Every class a bundle may hold, by its type tag. Only these are ever built.
+BUNDLE_TYPES = {
+    "scaler": ScalerParams,
+    "pca": PcaModel,
+    "tree": Tree,
+    "forest": ForestModel,
+    "kernel": KernelSpec,
+    "svm": SvmModel,
+    "batchnorm": BatchNormParams,
+    "mlp": MlpModel,
+    "ridge": RidgeModel,
+    "preprocessing": PreprocessChain,
+    "submodel": SubModel,
+    "consensus": ConsensusPair,
+    "pipeline": ToxTreePipeline,
+}
+_TAGS = {cls: tag for tag, cls in BUNDLE_TYPES.items()}
+# Left out: the training alphas are a diagnostic, and a loaded MLP is always in "eval" mode.
+_NOT_STORED = {SvmModel: "alphas", MlpModel: "mode"}
+_STORED_FIELDS = {
+    cls: frozenset(f.name for f in dataclasses.fields(cls) if f.name != _NOT_STORED.get(cls))
+    for cls in BUNDLE_TYPES.values()
+}
+# Each stored field's annotation, which its decoded value must fit (see _fits).
+_HINTS = {cls: typing.get_type_hints(cls) for cls in BUNDLE_TYPES.values()}
+# What a list of plain values (such as tree node arrays) may hold; reals are only ever {"hex"}.
+_PLAIN = {int, str, bool, type(None)}
 
 
-def _enc_real(value: float) -> dict:
-    value = float(value)
-    if not math.isfinite(value):
-        raise BundleError(f"cannot serialize non-finite value {value!r}")
-    return {"hex": value.hex()}
+def _encode(value) -> Any:
+    cls = type(value)
+    if cls in _TAGS:
+        fields = {name: _encode(getattr(value, name)) for name in _STORED_FIELDS[cls]}
+        return {_TYPE_KEY: _TAGS[cls], **fields}
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iu":
+            return value.tolist() if value.ndim == 1 else {"shape": list(value.shape), "ints": value.ravel().tolist()}
+        value = np.asarray(value, dtype=float)
+        if not np.all(np.isfinite(value)):
+            raise BundleError("cannot serialize an array with non-finite values")
+        return {"shape": list(value.shape), "f64le": base64.b64encode(value.astype("<f8").tobytes()).decode()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise BundleError(f"cannot serialize non-finite value {value!r}")
+        return {"hex": float(value).hex()}
+    if value is None or isinstance(value, str):
+        return value
+    raise BundleError(f"cannot serialize a {cls.__name__} in a bundle")
 
 
-def _dec_real(obj) -> float:
+def _decode_real(obj: dict, where: str) -> float:
     try:
         value = float.fromhex(obj["hex"])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise BundleError(f"malformed real value {obj!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise BundleError(f"malformed real value {obj!r} in {where}") from exc
     if not math.isfinite(value):
-        raise BundleError(f"non-finite value {obj!r} in bundle")
+        raise BundleError(f"non-finite value {obj!r} in {where}")
     return value
 
 
-def _enc_array(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise BundleError("cannot serialize an array with non-finite values")
-    return {"shape": list(arr.shape), "f64le": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
-
-
-def _dec_array(obj) -> np.ndarray:
+def _decode_array(obj: dict, where: str) -> np.ndarray:
+    """A float array, or an integer one whose elements its owner checks."""
+    shape = obj.get("shape")
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise BundleError(f"malformed array shape {shape!r} in {where}")
+    size = math.prod(shape)
+    if "ints" in obj:
+        ints = obj["ints"]
+        if not isinstance(ints, list) or len(ints) != size:
+            raise BundleError(f"integer array payload does not match its shape in {where}")
+        return np.fromiter(ints, dtype=object, count=size).reshape(shape)
     try:
-        shape = obj["shape"]
         raw = base64.b64decode(obj["f64le"], validate=True)
     except (TypeError, KeyError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise BundleError(f"malformed array payload: {exc}") from exc
-    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
-        raise BundleError(f"malformed array shape {shape!r}")
-    if len(raw) != 8 * math.prod(shape):
-        raise BundleError("array payload does not match its shape")
+        raise BundleError(f"malformed array payload in {where}: {exc}") from exc
+    if len(raw) != 8 * size:
+        raise BundleError(f"array payload does not match its shape in {where}")
     arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
     if not np.all(np.isfinite(arr)):
-        raise BundleError("non-finite value in array payload")
+        raise BundleError(f"non-finite value in array payload in {where}")
     return arr
 
 
-def _dec_ints(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not all(type(v) is int for v in obj):
-        raise BundleError("malformed integer array in forest payload")
-    return np.array(obj, dtype=np.int64)
+def _fits(value, hint) -> bool:
+    """Whether a decoded value may stand in a field annotated ``hint``. Only
+    table classes are built, so a class hint is met by its own class alone."""
+    if type(value) is hint or (hint is float and type(value) is int):
+        return True  # int, float, bool, str, None and the table classes
+    if hint is np.ndarray:  # a decoded array, or a 1-D integer array's JSON list
+        return isinstance(value, np.ndarray) or (isinstance(value, list) and set(map(type, value)) <= {int})
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        return any(_fits(value, a) for a in args)
+    if origin in (list, tuple):
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    return False
 
 
-def _opt_int(v):
-    return None if v is None else int(v)
-
-
-def _encode_model(model: Any) -> tuple[str, dict]:
-    if isinstance(model, ScalerParams):
-        return "scaler", {"mean": _enc_array(model.mean), "std": _enc_array(model.std)}
-    if isinstance(model, PcaModel):
-        return "pca", {
-            "mean": _enc_array(model.mean),
-            "components": _enc_array(model.components),
-            "eigenvalues": _enc_array(model.eigenvalues),
-            "energy_captured": _enc_real(model.energy_captured),
-        }
-    if isinstance(model, ForestModel):
-        # Node arrays; indices and class counts (flattened row-major) stay plain ints.
-        counts = model.n_classes is not None
-        return "forest", {
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": _enc_array(t.threshold),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "value": t.value.reshape(-1).tolist() if counts else _enc_array(t.value),
-                }
-                for t in model.trees
-            ],
-            "n_estimators": model.n_estimators,
-            "max_depth": model.max_depth,
-            "features_per_split": model.features_per_split,
-            "seed": model.seed,
-            "n_features": model.n_features,
-            "n_classes": model.n_classes,
-            "min_leaf": model.min_leaf,
-        }
-    if isinstance(model, SvmModel):
-        return "svm", {
-            "kernel": {
-                "kind": model.kernel.kind,
-                "degree": model.kernel.degree,
-                "gamma": _enc_real(model.kernel.gamma),
-                "coef0": _enc_real(model.kernel.coef0),
-            },
-            "C": _enc_real(model.C),
-            "support_vectors": _enc_array(model.support_vectors),
-            "dual_coefs": _enc_array(model.dual_coefs),
-            "bias": _enc_real(model.bias),
-            "converged": bool(model.converged),
-        }
-    if isinstance(model, MlpModel):
-        payload = {
-            "layer_sizes": list(model.layer_sizes),
-            "weights": [_enc_array(w) for w in model.weights],
-            "biases": [_enc_array(b) for b in model.biases],
-            "activation": model.activation,
-            "dropout_rate": _enc_real(model.dropout_rate),
-            "batchnorm": None,
-        }
-        if model.batchnorm is not None:
-            payload["batchnorm"] = [
-                {
-                    "gamma": _enc_array(bn.gamma),
-                    "beta": _enc_array(bn.beta),
-                    "running_mean": _enc_array(bn.running_mean),
-                    "running_var": _enc_array(bn.running_var),
-                }
-                for bn in model.batchnorm
-            ]
-        return "mlp", payload
-    if isinstance(model, RidgeModel):
-        return "ridge", {
-            "coefficients": _enc_array(model.coefficients),
-            "intercept": _enc_real(model.intercept),
-            "alpha": _enc_real(model.alpha),
-        }
-    if isinstance(model, ToxTreePipeline):
-        return "pipeline", _encode_pipeline(model)
-    raise BundleError(f"unsupported model type {type(model).__name__}")
-
-
-def _encode_pipeline(pipeline: ToxTreePipeline) -> dict:
-    pre = pipeline.preprocessing
-    chain = {
-        "whitelist": list(pre.whitelist) if pre.whitelist is not None else None,
-        "scaler": _encode_model(pre.scaler)[1] if pre.scaler is not None else None,
-        "pca": _encode_model(pre.pca)[1] if pre.pca is not None else None,
-    }
-    stages = []
-    for stage in pipeline.stages:
-        if isinstance(stage, ConsensusPair):
-            stages.append(
-                {
-                    "type": "consensus",
-                    "prob_tolerance": _enc_real(stage.prob_tolerance),
-                    "members": [_encode_submodel(stage.model_a), _encode_submodel(stage.model_b)],
-                }
-            )
-        else:
-            stages.append({"type": "submodel", **_encode_submodel(stage)})
-    return {"preprocessing": chain, "stages": stages}
-
-
-def _encode_submodel(sub: SubModel) -> dict:
-    kind, payload = _encode_model(sub.model)
-    return {
-        "name": sub.name,
-        "threshold": _enc_real(sub.threshold),
-        "positive_class": sub.positive_class,
-        "model_kind": kind,
-        "model": payload,
-    }
-
-
-def _decode_model(kind: str, payload: dict) -> Any:
+def _decode(obj, where: str) -> Any:
+    """Rebuild a payload value; ``where`` is the path of type tags above it."""
+    if isinstance(obj, list):
+        if set(map(type, obj)) <= _PLAIN:
+            return obj
+        return [_decode(v, where) for v in obj]
+    if isinstance(obj, float):
+        raise BundleError(f"bare number {obj!r} in {where}; reals are stored as {{\"hex\": ...}}")
+    if not isinstance(obj, dict):
+        return obj
+    if _TYPE_KEY not in obj:
+        return _decode_real(obj, where) if "hex" in obj else _decode_array(obj, where)
+    tag = obj[_TYPE_KEY]
+    cls = BUNDLE_TYPES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise BundleError(f"unknown bundle type {tag!r} in {where}")
+    where = f"{where}/{tag}"
+    names = obj.keys() - {_TYPE_KEY}
+    if names != _STORED_FIELDS[cls]:
+        raise BundleError(f"malformed {where}: fields {sorted(names ^ _STORED_FIELDS[cls])} missing or unknown")
+    fields = {name: _decode(obj[name], where) for name in names}
+    for name, value in fields.items():
+        if not _fits(value, _HINTS[cls][name]):
+            raise BundleError(f"malformed {where}: field {name!r} cannot hold a {type(value).__name__}")
     try:
-        if kind == "scaler":
-            return ScalerParams(_dec_array(payload["mean"]), _dec_array(payload["std"]))
-        if kind == "pca":
-            return PcaModel(
-                _dec_array(payload["mean"]),
-                _dec_array(payload["components"]),
-                _dec_array(payload["eigenvalues"]),
-                _dec_real(payload["energy_captured"]),
-            )
-        if kind == "forest":
-            # Tree and ForestModel reject inconsistent arrays, out-of-range
-            # features and child links that do not point forward.
-            n_classes = _opt_int(payload["n_classes"])
-
-            def dec_value(obj) -> np.ndarray:
-                return _dec_array(obj) if n_classes is None else _dec_ints(obj).reshape(-1, n_classes)
-
-            return ForestModel(
-                trees=[
-                    Tree(
-                        _dec_ints(t["feature"]),
-                        _dec_array(t["threshold"]),
-                        _dec_ints(t["left"]),
-                        _dec_ints(t["right"]),
-                        dec_value(t["value"]),
-                    )
-                    for t in payload["trees"]
-                ],
-                n_estimators=int(payload["n_estimators"]),
-                max_depth=_opt_int(payload["max_depth"]),
-                features_per_split=int(payload["features_per_split"]),
-                seed=int(payload["seed"]),
-                n_features=int(payload["n_features"]),
-                n_classes=n_classes,
-                min_leaf=int(payload["min_leaf"]),
-            )
-        if kind == "svm":
-            spec = KernelSpec(
-                payload["kernel"]["kind"],
-                int(payload["kernel"]["degree"]),
-                _dec_real(payload["kernel"]["gamma"]),
-                _dec_real(payload["kernel"]["coef0"]),
-            )
-            return SvmModel(
-                kernel=spec,
-                C=_dec_real(payload["C"]),
-                support_vectors=_dec_array(payload["support_vectors"]),
-                dual_coefs=_dec_array(payload["dual_coefs"]),
-                bias=_dec_real(payload["bias"]),
-                converged=bool(payload["converged"]),
-            )
-        if kind == "mlp":
-            bn = None
-            if payload["batchnorm"] is not None:
-                bn = [
-                    BatchNormParams(
-                        _dec_array(entry["gamma"]),
-                        _dec_array(entry["beta"]),
-                        _dec_array(entry["running_mean"]),
-                        _dec_array(entry["running_var"]),
-                    )
-                    for entry in payload["batchnorm"]
-                ]
-            return MlpModel(
-                layer_sizes=tuple(int(s) for s in payload["layer_sizes"]),
-                weights=[_dec_array(w) for w in payload["weights"]],
-                biases=[_dec_array(b) for b in payload["biases"]],
-                activation=payload["activation"],
-                dropout_rate=_dec_real(payload["dropout_rate"]),
-                batchnorm=bn,
-                mode="eval",
-            )
-        if kind == "ridge":
-            return RidgeModel(
-                _dec_array(payload["coefficients"]),
-                _dec_real(payload["intercept"]),
-                _dec_real(payload["alpha"]),
-            )
-        if kind == "pipeline":
-            return _decode_pipeline(payload)
-    except BundleError:
-        raise
-    except Exception as exc:
-        raise BundleError(f"malformed {kind} payload: {exc}") from exc
-    raise BundleError(f"unknown bundle kind {kind!r}")
+        return cls(**fields)
+    except Exception as exc:  # each constructor's own checks reject what it cannot use
+        raise BundleError(f"malformed {where}: {exc}") from exc
 
 
-def _decode_submodel(obj: dict) -> SubModel:
-    return SubModel(
-        name=obj["name"],
-        threshold=_dec_real(obj["threshold"]),
-        model=_decode_model(obj["model_kind"], obj["model"]),
-        positive_class=int(obj["positive_class"]),
-    )
-
-
-def _decode_pipeline(payload: dict) -> ToxTreePipeline:
-    chain_obj = payload["preprocessing"]
-    chain = PreprocessChain(
-        whitelist=list(chain_obj["whitelist"]) if chain_obj["whitelist"] is not None else None,
-        scaler=_decode_model("scaler", chain_obj["scaler"]) if chain_obj["scaler"] is not None else None,
-        pca=_decode_model("pca", chain_obj["pca"]) if chain_obj["pca"] is not None else None,
-    )
-    stages = []
-    for stage_obj in payload["stages"]:
-        if stage_obj["type"] == "consensus":
-            a, b = stage_obj["members"]
-            stages.append(
-                ConsensusPair(
-                    _decode_submodel(a),
-                    _decode_submodel(b),
-                    _dec_real(stage_obj["prob_tolerance"]),
-                )
-            )
-        elif stage_obj["type"] == "submodel":
-            stages.append(_decode_submodel(stage_obj))
-        else:
-            raise BundleError(f"unknown stage type {stage_obj.get('type')!r}")
-    return ToxTreePipeline(chain, stages)
+def _finite(text: str) -> float:
+    """json.loads hook for each number with a fraction or exponent and for NaN
+    and Infinity, which Python's json accepts: a bundle holds no non-finite value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise BundleError(f"non-finite number {text} in bundle")
+    return value
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _payload_digest(payload: dict) -> str:
@@ -343,6 +204,8 @@ def save_bundle(
     created_at default is a fixed constant so identical models always produce
     identical bytes).
     """
+    if type(model) not in _TAGS:
+        raise BundleError(f"unsupported model type {type(model).__name__}")
     carried = getattr(model, _METADATA_ATTR, None) or {}
     metadata = {
         "created_at": created_at if created_at is not None else carried.get("created_at", DEFAULT_CREATED_AT),
@@ -350,49 +213,45 @@ def save_bundle(
         "fingerprint": fingerprint if fingerprint is not None else carried.get("fingerprint"),
         "hyperparameters": hyperparameters if hyperparameters is not None else carried.get("hyperparameters"),
     }
-    kind, payload = _encode_model(model)
+    payload = _encode(model)
     bundle = {
         "schema_version": SCHEMA_VERSION,
-        "kind": kind,
         "metadata": metadata,
         "payload": payload,
         "payload_sha256": _payload_digest(payload),
     }
-    text = _canonical(bundle) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(os.fspath(sink), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    try:
+        text = _canonical(bundle)
+    except ValueError as exc:  # json refuses NaN and infinity in the metadata
+        raise BundleError(f"cannot serialize bundle metadata: {exc}") from exc
+    with text_stream(sink, "w") as stream:
+        stream.write(text + "\n")
 
 
 def load_bundle(source) -> Any:
     """Restore a model from a bundle; predictions are bit-identical to the
     saved model's. Version mismatches, digests that do not check out, and
     malformed payloads all raise BundleError."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(os.fspath(source), "r", encoding="utf-8") as fh:
-            text = fh.read()
+    with text_stream(source) as stream:
+        text = stream.read()
     try:
-        bundle = json.loads(text)
+        bundle = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise BundleError(f"bundle is not valid JSON: {exc}") from exc
     if not isinstance(bundle, dict):
         raise BundleError("bundle must be a JSON object")
     version = bundle.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise BundleError(
-            f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
-        )
-    for key in ("kind", "payload", "payload_sha256", "metadata"):
+        raise BundleError(f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}")
+    for key in ("payload", "payload_sha256", "metadata"):
         if key not in bundle:
             raise BundleError(f"bundle is missing the {key!r} field")
     if not isinstance(bundle["metadata"], dict):
         raise BundleError("bundle metadata must be a JSON object")
     if _payload_digest(bundle["payload"]) != bundle["payload_sha256"]:
         raise BundleError("payload digest mismatch (bundle corrupted or truncated)")
-    model = _decode_model(bundle["kind"], bundle["payload"])
+    if not isinstance(bundle["payload"], dict) or _TYPE_KEY not in bundle["payload"]:
+        raise BundleError(f"bundle payload must be an object with a {_TYPE_KEY!r} tag")
+    model = _decode(bundle["payload"], "payload")
     object.__setattr__(model, _METADATA_ATTR, bundle["metadata"])
     return model

@@ -80,10 +80,11 @@ class PredictionOutcome:
     probability: float | None
 
 
-def _stage_predict(model: Any, row: np.ndarray, positive_class: int) -> StagePrediction:
+def _stage_predict(model: Any, row: np.ndarray) -> StagePrediction:
     """Binary verdict + confidence from any supported stage model.
 
-    Forests and MLPs report the vote/softmax share of the predicted class;
+    Class 0 is "blocker" (BINARY_CLASS_NAMES). Forests and MLPs report the
+    vote/softmax share of the predicted class;
     SVMs squash the decision value through a logistic only for reporting
     (routing uses the sign). Objects exposing stage_predict(row) are accepted
     as-is, which is how test stubs plug in.
@@ -94,7 +95,7 @@ def _stage_predict(model: Any, row: np.ndarray, positive_class: int) -> StagePre
     if isinstance(model, ForestModel):
         proba = forest_predict_proba(model, row)
         cls = int(np.argmax(proba))
-        return StagePrediction(cls == positive_class, float(proba[cls]))
+        return StagePrediction(cls == 0, float(proba[cls]))
     if isinstance(model, SvmModel):
         f = svm_decision(model, row)
         p_blocker = 1.0 / (1.0 + math.exp(-f)) if f > -700 else 0.0
@@ -103,7 +104,7 @@ def _stage_predict(model: Any, row: np.ndarray, positive_class: int) -> StagePre
     if isinstance(model, MlpModel):
         proba = mlp_predict_proba(model, row)
         cls = int(np.argmax(proba))
-        return StagePrediction(cls == positive_class, float(proba[cls]))
+        return StagePrediction(cls == 0, float(proba[cls]))
     raise InvalidInputError(f"unsupported stage model type {type(model).__name__}")
 
 
@@ -113,8 +114,7 @@ class SubModel:
 
     name: str
     threshold: float
-    model: Any
-    positive_class: int = 0
+    model: ForestModel | SvmModel | MlpModel  # or any object with stage_predict(row)
 
     def __post_init__(self):
         if float(self.threshold) not in CUTOFFS:
@@ -129,7 +129,7 @@ class SubModel:
         return getattr(self.model, "n_features", None)
 
     def predict(self, row: np.ndarray) -> StagePrediction:
-        return _stage_predict(self.model, row, self.positive_class)
+        return _stage_predict(self.model, row)
 
 
 @dataclass

@@ -302,6 +302,28 @@ class TestTrain:
         assert "--threads must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "herg-toxtree.toxtree.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("folds", "1", "--folds must be at least 2, got 1"),
+            ("pca-energy", "1.5", "--pca-energy must be in (0, 1], got 1.5"),
+            ("pca-energy", "nan", "--pca-energy must be in (0, 1], got nan"),
+            ("pca-energy", "0", "--pca-energy must be in (0, 1], got 0.0"),
+        ],
+    )
+    def test_bad_folds_or_pca_energy_is_usage_error(self, tmp_path, capsys, source, flag, value, message):
+        # The input files do not exist, so only a check made before reading them exits 1.
+        argv = ["train", "--descriptors", str(tmp_path / "d.csv"), "--compounds", str(tmp_path / "c.csv"),
+                "--target", "nav15", "--out", str(tmp_path / "o")]
+        if source == "flag":
+            argv += [f"--{flag}", value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{flag}={value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 def unconverged_svm_fit(kind, c):
     """svm_fit that reports converged=False for one (kernel, C) config."""
@@ -442,7 +464,7 @@ class TestMalformedBundle:
         bundle_path = tmp_path / "stub.toxtree.json"
         save_bundle(ToxTreePipeline(PreprocessChain(), [pair]), bundle_path)
         bundle = json.loads(bundle_path.read_text())
-        bundle["payload"]["stages"][0]["members"][1]["model"]["n_features"] = 2
+        bundle["payload"]["stages"][0]["model_b"]["model"]["n_features"] = 2
         bundle_path.write_text(resigned(bundle))
         write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
         code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),

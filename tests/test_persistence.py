@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import io
 import json
 
@@ -8,6 +9,8 @@ import pytest
 from cardiotox.errors import BundleError
 from cardiotox.learners import (
     KernelSpec,
+    MlpModel,
+    SvmModel,
     TrainConfig,
     forest_fit,
     forest_predict_proba,
@@ -20,7 +23,7 @@ from cardiotox.learners import (
     svm_decision,
     svm_fit,
 )
-from cardiotox.persistence import BUNDLE_EXTENSION, SCHEMA_VERSION, load_bundle, save_bundle
+from cardiotox.persistence import BUNDLE_EXTENSION, BUNDLE_TYPES, SCHEMA_VERSION, load_bundle, save_bundle
 from cardiotox.pipeline import (
     ConsensusPair,
     PreprocessChain,
@@ -67,6 +70,42 @@ def build_models(rng):
     }
 
 
+def build_pipelines(rng, models):
+    """A hERG-shaped pipeline (scaler, forest stages, forest consensus pair) and a
+    Nav1.5-shaped one (scaler and PCA, SVM stages, SVM consensus pair)."""
+    forest = models["forest"]
+    herg = ToxTreePipeline(
+        PreprocessChain(["f0", "f1", "f2"], models["scaler"], None),
+        [
+            SubModel("6rf-ovrs", 6.0, forest),
+            SubModel("5rf-ovrs", 5.0, forest),
+            ConsensusPair(SubModel("4o5rf", 4.5, forest), SubModel("4o5rf-ovrs", 4.5, forest)),
+        ],
+    )
+    chain = PreprocessChain(["f0", "f1", "f2"], models["scaler"], models["pca"])
+    x, y = make_blobs(rng, [[0, 0, 0], [4, 4, 4]], 30)
+    z = np.array([chain.apply_row(row) for row in x])
+
+    def svm(kind, c):
+        return svm_fit(z, np.where(y == 0, 1.0, -1.0), KernelSpec(kind), c)
+
+    nav = ToxTreePipeline(
+        chain,
+        [
+            SubModel("6svm", 6.0, svm("linear", 1.0)),
+            SubModel("5svm-ovrs", 5.0, svm("rbf", 10.0)),
+            ConsensusPair(SubModel("4o5svm", 4.5, svm("rbf", 1.0)), SubModel("4o5svm-ovrs", 4.5, svm("poly", 1.0))),
+        ],
+    )
+    return {"herg": herg, "nav15": nav}
+
+
+def saved(model) -> str:
+    buf = io.StringIO()
+    save_bundle(model, buf)
+    return buf.getvalue()
+
+
 def predictor_for(kind, model):
     if kind == "scaler":
         return lambda row: transform_scaler(model, row[None, :])[0]
@@ -95,19 +134,34 @@ class TestRoundTrips:
             assert np.array_equal(np.asarray(before(row)), np.asarray(after(row)))
 
     def test_pipeline_roundtrip(self, rng):
+        for pipeline in build_pipelines(rng, build_models(rng)).values():
+            text, restored = roundtrip(pipeline)
+            assert isinstance(restored, ToxTreePipeline)
+            assert saved(restored) == text
+            for _ in range(100):
+                row = {f"f{i}": float(v) for i, v in enumerate(rng.normal(size=3) * 3)}
+                a = pipeline_predict(pipeline, row)
+                b = pipeline_predict(restored, row)
+                assert (a.outcome, a.stage_name, a.probability) == (b.outcome, b.stage_name, b.probability)
+
+    def test_every_table_class_stores_exactly_its_fields(self, rng):
         models = build_models(rng)
-        pair = ConsensusPair(SubModel("4o5rf", 4.5, models["forest"]), SubModel("4o5rf-ovrs", 4.5, models["forest"]))
-        pipeline = ToxTreePipeline(
-            PreprocessChain(["f0", "f1", "f2"], models["scaler"], None),
-            [SubModel("6rf-ovrs", 6.0, models["forest"]), SubModel("5rf-ovrs", 5.0, models["forest"]), pair],
-        )
-        text, restored = roundtrip(pipeline)
-        assert isinstance(restored, ToxTreePipeline)
-        for _ in range(100):
-            row = {f"f{i}": float(v) for i, v in enumerate(rng.normal(size=3) * 3)}
-            a = pipeline_predict(pipeline, row)
-            b = pipeline_predict(restored, row)
-            assert (a.outcome, a.stage_name, a.probability) == (b.outcome, b.stage_name, b.probability)
+        pipelines = build_pipelines(rng, models)
+        nav = pipelines["nav15"]
+        objects = [
+            *models.values(), *pipelines.values(), models["forest"].trees[0], models["svm"].kernel,
+            models["mlp"].batchnorm[0], nav.preprocessing, nav.stages[0], nav.stages[-1],
+        ]
+        by_class = {type(obj): obj for obj in objects}
+        assert set(by_class) == set(BUNDLE_TYPES.values())
+        not_stored = {SvmModel: {"alphas"}, MlpModel: {"mode"}}
+        for tag, cls in BUNDLE_TYPES.items():
+            text, restored = roundtrip(by_class[cls])
+            payload = json.loads(text)["payload"]
+            fields = {f.name for f in dataclasses.fields(cls)} - not_stored.get(cls, set())
+            assert payload.keys() == fields | {"type"} and payload["type"] == tag
+            assert type(restored) is cls
+            assert saved(restored) == text
 
     def test_save_deterministic_and_stable_through_load(self, rng):
         model = build_models(rng)["forest"]
@@ -162,7 +216,8 @@ class TestFailureModes:
             pytest.param(lambda p, t: t["left"].append(-1), id="length-mismatch"),
             pytest.param(lambda p, t: t["left"].__setitem__(0, 0), id="child-cycle"),
             pytest.param(lambda p, t: t["right"].__setitem__(0, len(t["feature"])), id="child-past-end"),
-            pytest.param(lambda p, t: t["value"].append(0), id="counts-not-n-classes-wide"),
+            pytest.param(lambda p, t: t["value"]["ints"].append(0), id="counts-not-n-classes-wide"),
+            pytest.param(lambda p, t: t["value"]["ints"].__setitem__(0, True), id="bool-count"),
             pytest.param(lambda p, t: p["trees"].pop(), id="fewer-trees-than-n-estimators"),
         ],
     )
@@ -210,6 +265,132 @@ class TestFailureModes:
         with pytest.raises(BundleError, match=match):
             load_bundle(io.StringIO(resigned(bundle)))
 
+    @pytest.mark.parametrize(
+        "kind, edit, match",
+        [
+            pytest.param("svm", lambda p: p.__setitem__("bias", float("nan")), "non-finite number NaN", id="nan-bias"),
+            pytest.param("svm", lambda p: p.__setitem__("bias", 0.5), "bare number 0.5 in payload/svm", id="plain-bias"),
+            pytest.param(
+                "svm",
+                lambda p: p.__setitem__("dual_coefs", [float("nan")] * p["dual_coefs"]["shape"][0]),
+                "non-finite number NaN",
+                id="nan-list-dual-coefs",
+            ),
+            pytest.param(
+                "svm",
+                lambda p: p.__setitem__("dual_coefs", [0.5] * p["dual_coefs"]["shape"][0]),
+                "bare number 0.5 in payload/svm",
+                id="plain-list-dual-coefs",
+            ),
+            pytest.param(
+                "svm", lambda p: p["kernel"].__setitem__("gamma", float("inf")), "non-finite number Infinity", id="inf-gamma"
+            ),
+            pytest.param(
+                "forest",
+                lambda p: p["trees"][0].__setitem__("threshold", [-float("inf")] * len(p["trees"][0]["feature"])),
+                "non-finite number -Infinity",
+                id="inf-list-tree-threshold",
+            ),
+            pytest.param(
+                "forest",
+                lambda p: p["trees"][0].__setitem__("threshold", [0.5] * len(p["trees"][0]["feature"])),
+                "bare number 0.5 in payload/forest/tree",
+                id="plain-list-tree-threshold",
+            ),
+            pytest.param("forest", lambda p: p.__setitem__("n_classes", 2.0), "bare number 2.0", id="float-n-classes"),
+            pytest.param("forest", lambda p: p.__setitem__("n_classes", "2"), "'n_classes' cannot hold a str", id="str-n-classes"),
+        ],
+    )
+    def test_plain_or_non_finite_number_rejected(self, rng, kind, edit, match):
+        # The encoder writes every real as {"hex"} or inside {"f64le"}, so a bare
+        # JSON number with a fraction, NaN or Infinity is never a valid value.
+        text, _ = roundtrip(build_models(rng)[kind])
+        bundle = json.loads(text)
+        edit(bundle["payload"])
+        with pytest.raises(BundleError, match=match):
+            load_bundle(io.StringIO(resigned(bundle)))
+
+    def test_overflowing_number_rejected(self, rng):
+        text, _ = roundtrip(build_models(rng)["ridge"])
+        bundle = json.loads(text)
+        bundle["payload"]["alpha"] = float("inf")
+        # json reads 1e999 as inf, so the digest signed over Infinity holds
+        with pytest.raises(BundleError, match="non-finite number 1e999"):
+            load_bundle(io.StringIO(resigned(bundle).replace("Infinity", "1e999")))
+
+    def test_non_finite_metadata_rejected_on_save(self, rng):
+        with pytest.raises(BundleError, match="metadata"):
+            save_bundle(build_models(rng)["ridge"], io.StringIO(), hyperparameters={"c": float("nan")})
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            pytest.param(
+                lambda p: p["preprocessing"].__setitem__("scaler", p["preprocessing"]["pca"]),
+                "'scaler' cannot hold a PcaModel",
+                id="pca-in-the-scaler-slot",
+            ),
+            pytest.param(
+                lambda p: p["stages"][0]["model"].__setitem__("kernel", p["preprocessing"]["scaler"]),
+                "'kernel' cannot hold a ScalerParams",
+                id="scaler-as-svm-kernel",
+            ),
+            pytest.param(
+                lambda p: p["stages"][0].__setitem__("model", p["preprocessing"]["scaler"]),
+                "'model' cannot hold a ScalerParams",
+                id="scaler-as-stage-model",
+            ),
+            pytest.param(
+                lambda p: p["stages"][2].__setitem__("model_a", p["stages"][0]["model"]),
+                "'model_a' cannot hold a SvmModel",
+                id="bare-svm-as-consensus-member",
+            ),
+            pytest.param(
+                lambda p: p["stages"].__setitem__(0, p["preprocessing"]),
+                "'stages' cannot hold a list",
+                id="preprocessing-as-stage",
+            ),
+            pytest.param(
+                lambda p: p["preprocessing"].__setitem__("whitelist", [["f0"], "f1", "f2"]),
+                "'whitelist' cannot hold a list",
+                id="nested-whitelist",
+            ),
+            pytest.param(
+                lambda p: p["stages"][2].__setitem__("prob_tolerance", float("nan")),
+                "non-finite number NaN",
+                id="nan-prob-tolerance",
+            ),
+        ],
+    )
+    def test_field_holding_the_wrong_class_rejected(self, rng, edit, match):
+        pipeline = build_pipelines(rng, build_models(rng))["nav15"]
+        bundle = json.loads(saved(pipeline))
+        edit(bundle["payload"])
+        with pytest.raises(BundleError, match=match):
+            load_bundle(io.StringIO(resigned(bundle)))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            pytest.param(lambda p: p.__setitem__("layer_sizes", [3, 5, 2]), "layer_sizes", id="sizes-not-weight-shapes"),
+            pytest.param(lambda p: p["biases"].pop(), "layer_sizes", id="missing-bias"),
+            pytest.param(lambda p: p["batchnorm"].append(p["batchnorm"][0]), "batch norm", id="extra-batchnorm"),
+            pytest.param(
+                lambda p: p["batchnorm"][0].__setitem__("beta", p["biases"][1]), "batch norm", id="batchnorm-wrong-width"
+            ),
+            pytest.param(lambda p: p.__setitem__("activation", "tanh"), "activation", id="unknown-activation"),
+            pytest.param(lambda p: p.__setitem__("dropout_rate", {"hex": (1.0).hex()}), "dropout_rate", id="dropout-one"),
+            pytest.param(lambda p: p["layer_sizes"].__setitem__(1, True), "'layer_sizes' cannot hold", id="bool-size"),
+        ],
+    )
+    def test_malformed_mlp_rejected(self, rng, edit, match):
+        text, _ = roundtrip(build_models(rng)["mlp"])
+        bundle = json.loads(text)
+        assert bundle["payload"]["layer_sizes"] == [3, 8, 2]
+        edit(bundle["payload"])
+        with pytest.raises(BundleError, match=match):
+            load_bundle(io.StringIO(resigned(bundle)))
+
     def test_schema_2_bundle_rejected(self, rng):
         text, _ = roundtrip(build_models(rng)["forest"])
         bundle = json.loads(text)
@@ -245,16 +426,19 @@ class TestFailureModes:
     def test_unknown_kind(self):
         bundle = {
             "schema_version": SCHEMA_VERSION,
-            "kind": "mystery",
             "metadata": {},
-            "payload": {},
+            "payload": {"type": "mystery"},
         }
-        import hashlib
-
-        canonical = json.dumps({}, sort_keys=True, separators=(",", ":"))
-        bundle["payload_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
         with pytest.raises(BundleError, match="mystery"):
-            load_bundle(io.StringIO(json.dumps(bundle)))
+            load_bundle(io.StringIO(resigned(bundle)))
+
+    def test_type_outside_the_table_rejected(self, rng):
+        # LabeledDataset is a dataclass of this package, but no bundle may build one.
+        text, _ = roundtrip(build_models(rng)["svm"])
+        bundle = json.loads(text)
+        bundle["payload"]["kernel"] = {"type": "LabeledDataset", "matrix": [], "labels": [], "class_names": []}
+        with pytest.raises(BundleError, match="LabeledDataset"):
+            load_bundle(io.StringIO(resigned(bundle)))
 
     def test_not_json(self):
         with pytest.raises(BundleError, match="JSON"):
