@@ -29,7 +29,6 @@ from .errors import (
     TrainingDivergedError,
     UsageError,
 )
-from .learners import KernelSpec, forest_fit, svm_fit
 from .pipeline import (
     OUTCOME_CLASS,
     ConsensusPair,
@@ -38,12 +37,12 @@ from .pipeline import (
     SubModel,
     SvmConfig,
     ToxTreePipeline,
+    fit_config,
     herg_rf_space,
     pipeline_predict,
     svm_space,
     tune_grid,
 )
-from .preprocess import fit_pca, fit_scaler, project, transform_scaler
 from .resample import ResamplePlan, Strategy, balance
 
 DEFAULT_SEED = 1729
@@ -228,14 +227,6 @@ def _stage_name(threshold: float, family: str, strategy: Strategy) -> str:
     return f"{prefix}{family}{_STRATEGY_SUFFIX[strategy]}"
 
 
-def _fit_stage(stage_ds, config: ForestConfig | SvmConfig, plan: ResamplePlan, seed: int, threads: int):
-    final_ds = balance(stage_ds, plan)
-    if isinstance(config, ForestConfig):
-        return forest_fit(final_ds, config.n_estimators, config.max_depth, seed=seed, threads=threads)
-    y = np.where(final_ds.labels == 0, 1.0, -1.0)
-    return svm_fit(final_ds.matrix, y, KernelSpec(config.kernel, degree=config.degree), config.c)
-
-
 def _grid_for(args, target: str) -> list:
     grid = _merged(args, "grid", "paper")
     if target == "herg":
@@ -302,13 +293,9 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
 
-    scaler = fit_scaler(matrix)
-    processed = transform_scaler(scaler, matrix)
-    pca = None
-    if target == "nav15":
-        pca = fit_pca(processed, pca_energy)
-        processed = project(pca, processed)
-        print(f"PCA keeps {pca.n_components} components ({pca.energy_captured:.4f} energy)")
+    chain, processed = PreprocessChain.fit(matrix, whitelist, pca_energy if target == "nav15" else None)
+    if chain.pca is not None:
+        print(f"PCA keeps {chain.pca.n_components} components ({chain.pca.energy_captured:.4f} energy)")
 
     family = "rf" if target == "herg" else "svm"
     default_sampling = _HERG_DEFAULT_SAMPLING if target == "herg" else _NAV_DEFAULT_SAMPLING
@@ -339,7 +326,7 @@ def cmd_train(args) -> int:
             for warning in tuning.fold_warnings:
                 print(f"note: stage {name}: {warning}", file=sys.stderr)
             report_rows.extend(_cv_report_rows(threshold, name, strategy, tuning, family))
-            model = _fit_stage(stage_ds, best, plan, seed, threads)
+            model = fit_config(best, balance(stage_ds, plan), seed, threads)
             if family == "svm" and not model.converged:
                 print(f"warning: stage {name} SVM {best.describe()} did not converge "
                       "within the update cap", file=sys.stderr)
@@ -348,7 +335,7 @@ def cmd_train(args) -> int:
                   f"(AC_cv {mx.format_percent(tuning.best.ac_cv)}, F1_cv {mx.format_percent(tuning.best.f1_cv)})")
         stage_objs.append(members[0] if len(members) == 1 else ConsensusPair(members[0], members[1]))
 
-    pipeline = ToxTreePipeline(PreprocessChain(list(whitelist), scaler, pca), stage_objs)
+    pipeline = ToxTreePipeline(chain, stage_objs)
 
     bundle_path = out / f"{target}-toxtree{persistence.BUNDLE_EXTENSION}"
     persistence.save_bundle(
@@ -379,18 +366,33 @@ def _load_pipeline(path: str) -> ToxTreePipeline:
     return pipeline
 
 
+def _whitelist_rows(pipeline: ToxTreePipeline, table: ds.DescriptorTable) -> np.ndarray:
+    """The table's columns in the pipeline's whitelist order. A feature the
+    table lacks is an all-NaN column, so each row reports it missing."""
+    whitelist = pipeline.preprocessing.whitelist
+    if whitelist is None:
+        raise InvalidInputError("bundle's preprocessing chain has no feature whitelist")
+    column = {name: j for j, name in enumerate(table.feature_names)}
+    rows = np.full((table.n_rows, len(whitelist)), np.nan)
+    for k, name in enumerate(whitelist):
+        if name in column:
+            rows[:, k] = table.values[:, column[name]]
+    return rows
+
+
 def cmd_predict(args) -> int:
     out = _out_dir(args)
     pipeline = _load_pipeline(args.bundle)
     table = ds.parse_descriptor_csv(args.descriptors)
+    rows = _whitelist_rows(pipeline, table)
     path = out / "predictions.csv"
     errors = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["compound_key", "outcome", "deciding_stage", "stage_probability"])
-        for i, key in enumerate(table.row_keys):
+        for key, row in zip(table.row_keys, rows):
             try:
-                result = pipeline_predict(pipeline, table.row_mapping(i))
+                result = pipeline_predict(pipeline, row)
             except InvalidInputError as exc:
                 writer.writerow([key, f"error: {exc}", "", ""])
                 errors += 1
@@ -410,34 +412,30 @@ def cmd_evaluate(args) -> int:
     _, _, pic50, _ = _aligned_data(table, compounds, require_exact=True)
 
     # Predicted potency class per row; None for an inconclusive outcome.
-    predicted = [
-        OUTCOME_CLASS.get(pipeline_predict(pipeline, table.row_mapping(i)).outcome)
-        for i in range(table.n_rows)
-    ]
+    rows = _whitelist_rows(pipeline, table)
+    predicted = [OUTCOME_CLASS.get(pipeline_predict(pipeline, row).outcome) for row in rows]
     truth_labels = [ds.assign_class(p).label_index for p in pic50]
     pred_labels = [mx.INCONCLUSIVE if c is None else c.label_index for c in predicted]
     q_multi = mx.multiclass_accuracy(pred_labels, truth_labels)
     confusion = mx.multiclass_confusion(truth_labels, pred_labels, ds.MULTICLASS_NAMES)
 
     named_counts = []
-    extra_rows = []
-    thresholds = [s.threshold for s in pipeline.stages]
-    for threshold in thresholds:
-        weakest_blocker = ds.assign_class(threshold)
-        truth = [p >= threshold for p in pic50]
+    scores = []
+    for stage in pipeline.stages:
+        weakest_blocker = ds.assign_class(stage.threshold)
+        truth = [p >= stage.threshold for p in pic50]
         # Inconclusive counts as non-blocker at every threshold.
         pred = [c is not None and c >= weakest_blocker for c in predicted]
         counts = mx.confusion_from_labels(truth, pred, True)
-        named_counts.append((f"{threshold:g}", counts))
-        m = mx.binary_metrics(counts)
-        extra_rows.append((f"{threshold:g}", mx.format_percent(m.ccr), mx.format_percent(m.mcc)))
+        named_counts.append((f"{stage.threshold:g}", counts))
+        scores.append(mx.binary_metrics(counts))
 
     text_lines = ["binary metrics by threshold", ""]
     text_lines.append(mx.binary_report_text(named_counts, label_header="threshold").rstrip())
     text_lines.append("")
     text_lines.append("threshold  CCR    MCC")
-    for label, ccr, mcc in extra_rows:
-        text_lines.append(f"{label:<9}  {ccr:<5}  {mcc}")
+    for (label, _), m in zip(named_counts, scores):
+        text_lines.append(f"{label:<9}  {mx.format_percent(m.ccr):<5}  {mx.format_percent(m.mcc)}")
     text_lines.append("")
     text_lines.append(f"multiclass accuracy: {mx.format_percent(q_multi)}")
     text_lines.append("")
@@ -452,12 +450,9 @@ def cmd_evaluate(args) -> int:
 
     (out / "metrics.txt").write_text(text, encoding="utf-8")
     csv_lines = ["threshold,AC,CCR,MCC,SN,SP,F1,TP,FN,TN,FP"]
-    for (label, counts), (_, ccr, mcc) in zip(named_counts, extra_rows):
-        m = mx.binary_metrics(counts)
-        csv_lines.append(
-            f"{label},{mx.format_percent(m.ac)},{ccr},{mcc},{mx.format_percent(m.sn)},"
-            f"{mx.format_percent(m.sp)},{mx.format_percent(m.f1)},{counts.tp},{counts.fn},{counts.tn},{counts.fp}"
-        )
+    for (label, counts), m in zip(named_counts, scores):
+        percents = ",".join(mx.format_percent(v) for v in (m.ac, m.ccr, m.mcc, m.sn, m.sp, m.f1))
+        csv_lines.append(f"{label},{percents},{counts.tp},{counts.fn},{counts.tn},{counts.fp}")
     csv_lines.append(f"multiclass,{mx.format_percent(q_multi)},,,,,,,,,")
     (out / "metrics.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 

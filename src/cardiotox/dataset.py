@@ -124,9 +124,6 @@ class DescriptorTable:
             cols.append(index[name])
         return DescriptorTable(list(self.row_keys), list(features), self.values[:, cols])
 
-    def row_mapping(self, i: int) -> dict[str, float]:
-        return dict(zip(self.feature_names, self.values[i]))
-
 
 @dataclass
 class LabeledDataset:

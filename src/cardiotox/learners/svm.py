@@ -219,16 +219,13 @@ def svm_fit(
 
 
 def svm_decision(model: SvmModel, row: np.ndarray) -> float:
-    """f(x) = sum_i alpha_i y_i K(x_i, x) + b."""
+    """f(x) = sum_i alpha_i y_i K(x_i, x) + b: svm_decision_many on one row."""
     row = np.asarray(row, dtype=float)
     if row.shape != (model.n_features,):
         raise InvalidInputError(
             f"row has shape {row.shape}, model expects ({model.n_features},)"
         )
-    if model.support_vectors.shape[0] == 0:
-        return model.bias
-    k = _kernel_matrix(model.kernel, model.support_vectors, row[None, :])[:, 0]
-    return float(model.dual_coefs @ k + model.bias)
+    return float(svm_decision_many(model, row[None, :])[0])
 
 
 def svm_decision_many(model: SvmModel, matrix: np.ndarray) -> np.ndarray:

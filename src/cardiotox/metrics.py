@@ -240,10 +240,3 @@ def binary_report_text(named_counts: Sequence[tuple[str, ConfusionCounts]], labe
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
 
-
-def binary_report_csv(named_counts: Sequence[tuple[str, ConfusionCounts]], label_header: str = "model") -> str:
-    header = (label_header, *_REPORT_COLUMNS)
-    out = [",".join(header)]
-    for row in binary_report_rows(named_counts):
-        out.append(",".join(row))
-    return "\n".join(out) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .learners import (
     svm_fit,
 )
 from .metrics import binary_metrics, confusion_from_labels, cv_estimate
-from .preprocess import PcaModel, ScalerParams, project, transform_scaler
+from .preprocess import PcaModel, ScalerParams, fit_pca, fit_scaler, project, transform_scaler
 from .resample import ResamplePlan, Strategy, balance
 
 
@@ -84,10 +84,10 @@ def _stage_predict(model: Any, row: np.ndarray) -> StagePrediction:
     """Binary verdict + confidence from any supported stage model.
 
     Class 0 is "blocker" (BINARY_CLASS_NAMES). Forests and MLPs report the
-    vote/softmax share of the predicted class;
-    SVMs squash the decision value through a logistic only for reporting
-    (routing uses the sign). Objects exposing stage_predict(row) are accepted
-    as-is, which is how test stubs plug in.
+    vote/softmax share of the predicted class; SVMs squash the decision value
+    through a logistic only for reporting (routing uses the sign), and a NaN
+    decision, which has no sign, raises. Objects exposing stage_predict(row)
+    are accepted as-is, which is how test stubs plug in.
     """
     if hasattr(model, "stage_predict"):
         blocker, prob = model.stage_predict(row)
@@ -98,6 +98,8 @@ def _stage_predict(model: Any, row: np.ndarray) -> StagePrediction:
         return StagePrediction(cls == 0, float(proba[cls]))
     if isinstance(model, SvmModel):
         f = svm_decision(model, row)
+        if math.isnan(f):
+            raise InvalidInputError("SVM decision value is NaN (feature values overflow)")
         p_blocker = 1.0 / (1.0 + math.exp(-f)) if f > -700 else 0.0
         blocker = f >= 0.0
         return StagePrediction(blocker, p_blocker if blocker else 1.0 - p_blocker)
@@ -191,35 +193,38 @@ class PreprocessChain:
     scaler: ScalerParams | None = None
     pca: PcaModel | None = None
 
-    def apply_row(self, row) -> np.ndarray:
-        if isinstance(row, Mapping):
-            if self.whitelist is None:
-                raise InvalidInputError("mapping rows need a feature whitelist")
-            values = []
-            for name in self.whitelist:
-                if name not in row:
-                    raise InvalidInputError(f"missing feature {name!r}")
-                v = float(row[name])
-                if not math.isfinite(v):
-                    raise InvalidInputError(f"missing feature {name!r}")
-                values.append(v)
-            vec = np.array(values, dtype=float)
-        else:
-            vec = np.asarray(row, dtype=float)
-            if self.whitelist is not None and vec.shape != (len(self.whitelist),):
-                raise InvalidInputError(
-                    f"row has {vec.shape[0]} values, whitelist expects {len(self.whitelist)}"
-                )
-            bad = np.flatnonzero(~np.isfinite(vec))
-            if bad.size:
-                first = int(bad[0])
-                label = self.whitelist[first] if self.whitelist is not None else first
-                raise InvalidInputError(f"missing feature {label!r}")
+    @classmethod
+    def fit(cls, matrix: np.ndarray, whitelist: Sequence[str],
+            pca_energy: float | None = None) -> tuple["PreprocessChain", np.ndarray]:
+        """Fit the scaler (and, given an energy, PCA on the scaled rows) to
+        training rows in whitelist order; returns the chain and the rows it
+        outputs for them."""
+        scaler = fit_scaler(matrix)
+        pca = None if pca_energy is None else fit_pca(transform_scaler(scaler, matrix), pca_energy)
+        chain = cls(list(whitelist), scaler, pca)
+        return chain, chain.apply_matrix(matrix)
+
+    def apply_matrix(self, matrix: np.ndarray) -> np.ndarray:
+        """Scale, then project, rows that are already in whitelist order."""
         if self.scaler is not None:
-            vec = transform_scaler(self.scaler, vec)[0]
+            matrix = transform_scaler(self.scaler, matrix)
         if self.pca is not None:
-            vec = project(self.pca, vec)
-        return vec
+            matrix = project(self.pca, matrix)
+        return matrix
+
+    def apply_row(self, row: np.ndarray) -> np.ndarray:
+        """One row in whitelist order; a non-finite value is a missing feature."""
+        vec = np.asarray(row, dtype=float)
+        if self.whitelist is not None and vec.shape != (len(self.whitelist),):
+            raise InvalidInputError(
+                f"row has {vec.shape[0]} values, whitelist expects {len(self.whitelist)}"
+            )
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            first = int(bad[0])
+            label = self.whitelist[first] if self.whitelist is not None else first
+            raise InvalidInputError(f"missing feature {label!r}")
+        return self.apply_matrix(vec[None, :])[0]
 
     @property
     def output_dim(self) -> int | None:
@@ -253,13 +258,9 @@ class ToxTreePipeline:
                     f"stage {stage.name!r} expects {dim} features, preprocessing outputs {out_dim}"
                 )
 
-    @property
-    def stage_names(self) -> list[str]:
-        return [s.name for s in self.stages]
 
-
-def pipeline_predict(pipeline: ToxTreePipeline, row) -> PredictionOutcome:
-    """Route one descriptor row through the stages.
+def pipeline_predict(pipeline: ToxTreePipeline, row: np.ndarray) -> PredictionOutcome:
+    """Route one descriptor row, its values in whitelist order, through the stages.
 
     The first blocker verdict maps its stage threshold to the class
     ``assign_class`` gives that threshold (6 -> strong, 5 -> moderate,
@@ -414,15 +415,28 @@ def _binary_view(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray] | Non
     return None
 
 
+def fit_config(config: ForestConfig | SvmConfig, dataset: LabeledDataset, seed: int,
+               threads: int = 1) -> ForestModel | SvmModel:
+    """The model a forest or SVM configuration fits to a dataset.
+
+    SVMs need binary labels and code class 0 (blocker) as +1; ``seed`` and
+    ``threads`` reach forests only.
+    """
+    if isinstance(config, ForestConfig):
+        return forest_fit(dataset, config.n_estimators, config.max_depth, seed=seed, threads=threads)
+    if isinstance(config, SvmConfig):
+        if len(dataset.class_names) != 2:
+            raise InvalidInputError("SVM configurations need binary labels")
+        y = np.where(dataset.labels == 0, 1.0, -1.0)
+        return svm_fit(dataset.matrix, y, KernelSpec(config.kernel, degree=config.degree), config.c)
+    raise InvalidInputError(f"unsupported config type {type(config).__name__}")
+
+
 def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: int,
                      mlp_hidden: tuple[int, ...], mlp_train_config: TrainConfig):
     """Validation predictions, and whether the fit converged (None for MLPs)."""
     if isinstance(config, SvmConfig):
-        if len(train_ds.class_names) != 2:
-            raise InvalidInputError("SVM tuning requires binary labels")
-        y = np.where(train_ds.labels == 0, 1.0, -1.0)
-        spec = KernelSpec(config.kernel, degree=config.degree)
-        model = svm_fit(train_ds.matrix, y, spec, config.c)
+        model = fit_config(config, train_ds, seed)
         f = svm_decision_many(model, val_x)
         return np.where(f >= 0.0, 0, 1), model.converged
     if isinstance(config, MlpGridConfig):
@@ -448,7 +462,7 @@ def _largest_forests(space: Sequence[Any], train_ds: LabeledDataset, seed: int) 
     for config in space:
         if isinstance(config, ForestConfig):
             sizes[config.max_depth] = max(sizes.get(config.max_depth, 0), config.n_estimators)
-    return {depth: forest_fit(train_ds, n, depth, seed=seed) for depth, n in sizes.items()}
+    return {depth: fit_config(ForestConfig(n, depth), train_ds, seed) for depth, n in sizes.items()}
 
 
 def tune_grid(

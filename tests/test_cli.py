@@ -9,7 +9,7 @@ import pytest
 from cardiotox import cli as cli_module
 from cardiotox import pipeline as pipeline_module
 from cardiotox.cli import main
-from cardiotox.learners import ForestModel, Tree, svm_fit
+from cardiotox.learners import ForestModel, KernelSpec, SvmModel, Tree, svm_fit
 from cardiotox.learners import forest as forest_module
 from cardiotox.persistence import save_bundle
 from cardiotox.pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
@@ -362,7 +362,9 @@ class TestConvergenceReport:
         assert rows and {r["converged"] for r in rows} == {""}
 
     def test_unconverged_final_stage_warns(self, trained, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli_module, "svm_fit", lambda *args: replace(svm_fit(*args), converged=False))
+        # Only the final fits, which cmd_train makes, come back unconverged; tuning's fits do not.
+        fit = cli_module.fit_config
+        monkeypatch.setattr(cli_module, "fit_config", lambda *args: replace(fit(*args), converged=False))
         assert self.nav_train(trained, tmp_path) == 0
         err = capsys.readouterr().err
         for stage in ("6svm", "5svm-ovrs", "4o5svm"):
@@ -442,6 +444,53 @@ class TestPredict:
         assert rows["ok"]["outcome"] == "strong-blocker"
         assert rows["bad"]["outcome"].startswith("error:")
         assert "f0" in rows["bad"]["outcome"]
+
+    def test_missing_feature_column_gives_error_rows(self, trained, tmp_path, capsys):
+        desc = tmp_path / "no-f1.csv"
+        desc.write_text("Name,f0,f2\na,6.5,0\nb,3.0,0\n")
+        out = tmp_path / "o"
+        code = main(["predict", "--bundle", str(trained["bundle"]), "--descriptors", str(desc), "--out", str(out)])
+        assert code == 2
+        with open(out / "predictions.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["compound_key"], r["outcome"]) for r in rows] == [
+            ("a", "error: missing feature 'f1'"), ("b", "error: missing feature 'f1'")]
+        write_compounds(tmp_path / "c.csv", ["a", "b"], [6.5, 3.0])
+        code = main(["evaluate", "--bundle", str(trained["bundle"]), "--descriptors", str(desc),
+                     "--compounds", str(tmp_path / "c.csv"), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "error: missing feature 'f1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_bundle_without_whitelist_exits_2_once(self, tmp_path, capsys, command):
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(ToxTreePipeline(PreprocessChain(), class_code_pipeline().stages), bundle_path)
+        write_descriptors(tmp_path / "d.csv", ["a", "b"], np.array([[3.0], [0.0]]), ["f0"])
+        write_compounds(tmp_path / "c.csv", ["a", "b"], [6.5, 3.5])
+        extra = ["--compounds", str(tmp_path / "c.csv")] if command == "evaluate" else []
+        code = main([command, "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     *extra, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.count("no feature whitelist") == 1
+        assert not list((tmp_path / "o").iterdir())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_svm_decision_gives_error_row(self, tmp_path):
+        # On purpose, K(huge, sv) overflows to inf for both support vectors, so f = inf - inf = NaN.
+        svm = SvmModel(KernelSpec("linear").resolve(2), 1.0, [[2.0, 0.0], [0.0, 2.0]], [1.0, -1.0], 0.0)
+        bundle_path = tmp_path / "svm.toxtree.json"
+        save_bundle(ToxTreePipeline(PreprocessChain(["f0", "f1"], None, None), [SubModel("6svm", 6.0, svm)]),
+                    bundle_path)
+        write_descriptors(tmp_path / "d.csv", ["ok", "huge"], np.array([[1.0, 0.0], [1.7e308, 1.7e308]]),
+                          ["f0", "f1"])
+        out = tmp_path / "o"
+        code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     "--out", str(out)])
+        assert code == 2
+        with open(out / "predictions.csv") as fh:
+            rows = {r["compound_key"]: r for r in csv.DictReader(fh)}
+        assert rows["ok"]["outcome"] == "strong-blocker"
+        assert rows["huge"]["outcome"] == "error: SVM decision value is NaN (feature values overflow)"
 
 
 class TestMalformedBundle:

@@ -8,7 +8,6 @@ from cardiotox.metrics import (
     INCONCLUSIVE,
     ConfusionCounts,
     binary_metrics,
-    binary_report_csv,
     binary_report_text,
     confusion_from_labels,
     cv_estimate,
@@ -203,9 +202,3 @@ class TestReports:
         header, row = text.splitlines()
         assert header.split() == ["model", "AC", "SN", "SP", "F1", "TP", "FN", "TN", "FP"]
         assert row.split() == ["m1", "86.7", "87.7", "84.7", "89.7", "100", "14", "50", "9"]
-
-    def test_csv_report(self):
-        csv_text = binary_report_csv([("m1", ConfusionCounts(10, 0, 10, 0))])
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "model,AC,SN,SP,F1,TP,FN,TN,FP"
-        assert lines[1] == "m1,100.0,100.0,100.0,100.0,10,0,10,0"

@@ -139,7 +139,7 @@ class TestRoundTrips:
             assert isinstance(restored, ToxTreePipeline)
             assert saved(restored) == text
             for _ in range(100):
-                row = {f"f{i}": float(v) for i, v in enumerate(rng.normal(size=3) * 3)}
+                row = rng.normal(size=3) * 3
                 a = pipeline_predict(pipeline, row)
                 b = pipeline_predict(restored, row)
                 assert (a.outcome, a.stage_name, a.probability) == (b.outcome, b.stage_name, b.probability)

@@ -6,7 +6,7 @@ import pytest
 from cardiotox import pipeline as pipeline_module
 from cardiotox.dataset import assign_class, stratified_kfold
 from cardiotox.errors import InvalidInputError
-from cardiotox.learners import KernelSpec, forest_fit, forest_predict_many, svm_fit
+from cardiotox.learners import KernelSpec, forest_fit, forest_predict_many, svm_decision_many, svm_fit
 from cardiotox.metrics import binary_metrics, confusion_from_labels, cv_estimate
 from cardiotox.pipeline import (
     ConsensusPair,
@@ -19,6 +19,7 @@ from cardiotox.pipeline import (
     SvmConfig,
     ToxTreePipeline,
     consensus_predict,
+    fit_config,
     herg_rf_space,
     mlp_space,
     nav_rf_space,
@@ -99,17 +100,6 @@ class TestRouting:
             outcome = pipeline_predict(pipeline, np.array([value]))
             expected = label_for[assign_class(value).name.lower()]
             assert outcome.outcome is expected
-
-    def test_mapping_row_requires_whitelist_features(self):
-        stages = [SubModel("s", 6.0, StubStage(True))]
-        pipeline = ToxTreePipeline(PreprocessChain(whitelist=["f1", "f2"]), stages)
-        with pytest.raises(InvalidInputError, match="f2"):
-            pipeline_predict(pipeline, {"f1": 1.0})
-        with pytest.raises(InvalidInputError, match="f2"):
-            pipeline_predict(pipeline, {"f1": 1.0, "f2": float("nan")})
-        assert pipeline_predict(pipeline, {"f1": 1.0, "f2": 2.0}).outcome is Outcome.STRONG_BLOCKER
-        with pytest.raises(InvalidInputError, match="missing feature 'f2'"):
-            pipeline_predict(pipeline, {"f1": 1.0, "f2": float("inf")})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_array_row_rejects_non_finite_values(self, bad):
@@ -209,10 +199,22 @@ class TestValidation:
         wrong = svm_fit(scaled[:, : k - 1], y, KernelSpec("rbf"), 1.0)
         chain = PreprocessChain([f"f{i}" for i in range(5)], scaler, pca)
         pipeline = ToxTreePipeline(chain, [SubModel("6svm", 6.0, good), SubModel("4o5svm", 4.5, good)])
-        row = {f"f{i}": float(v) for i, v in enumerate(x[0])}
-        assert isinstance(pipeline_predict(pipeline, row).outcome, Outcome)
+        assert isinstance(pipeline_predict(pipeline, x[0]).outcome, Outcome)
         with pytest.raises(InvalidInputError, match=f"expects {k - 1} features, preprocessing outputs {k}"):
             ToxTreePipeline(chain, [SubModel("6svm", 6.0, good), SubModel("4o5svm", 4.5, wrong)])
+
+
+class TestPreprocessChain:
+    @pytest.mark.parametrize("energy", [None, 0.9])
+    def test_fit_outputs_what_apply_matrix_gives(self, rng, energy):
+        x = rng.normal(size=(50, 4)) * [1.0, 2.0, 3.0, 4.0]
+        chain, rows = PreprocessChain.fit(x, ("a", "b", "c", "d"), energy)
+        assert chain.whitelist == ["a", "b", "c", "d"]
+        assert (chain.pca is None) == (energy is None)
+        assert np.array_equal(rows, chain.apply_matrix(x))
+        if energy is None:
+            assert np.array_equal(rows, transform_scaler(fit_scaler(x), x))
+        assert np.array_equal(chain.apply_row(x[0]), chain.apply_matrix(x[:1])[0])
 
 
 class TestBuilders:
@@ -405,6 +407,17 @@ class TestTuneGrid:
     def test_nonpositive_forest_size_rejected(self):
         with pytest.raises(InvalidInputError):
             ForestConfig(0)
+
+    def test_fit_config_codes_blocker_as_positive(self, rng):
+        x, y = make_blobs(rng, [[0, 0], [4, 4]], 20)
+        dataset = labeled(x, y, ("blocker", "non-blocker"))
+        model = fit_config(SvmConfig("linear", 1.0), dataset, seed=0)
+        assert np.array_equal(svm_decision_many(model, x) >= 0.0, y == 0)
+        forest = fit_config(ForestConfig(5, max_depth=2), dataset, seed=3)
+        assert np.array_equal(forest_predict_many(forest, x),
+                              forest_predict_many(forest_fit(dataset, 5, 2, seed=3), x))
+        with pytest.raises(InvalidInputError, match="unsupported config"):
+            fit_config(mlp_space()[0], dataset, seed=0)
 
     def test_empty_space_rejected(self, rng):
         with pytest.raises(InvalidInputError):
