@@ -35,43 +35,68 @@ def _node_ints(values, what: str) -> np.ndarray:
 
 @dataclass
 class Tree:
-    """One tree as parallel node arrays in preorder; node 0 is the root.
+    """One tree in preorder; node 0 is the root.
 
-    ``feature`` is -1 at leaves, where ``threshold``, ``left`` and ``right``
-    are unused. ``value`` holds each node's class counts (n_nodes x n_classes)
-    for classifiers, or its target mean (n_nodes,) for regressors; predictions
-    read it at leaves. Children always have larger indices than their parent,
-    so every walk from the root ends at a leaf. The arrays are read-only once
-    the tree is built: prediction walks copies taken at construction.
+    ``feature`` holds every node's split feature, -1 at leaves. ``threshold``
+    holds one cut per split and ``value`` one row per leaf, both in preorder:
+    a leaf's class counts (n_leaves x n_classes) for classifiers, or its
+    target mean (n_leaves,) for regressors. Preorder fixes the children, so
+    none are stored: a split at node i has its left child at i + 1 and its
+    right child just past the left subtree. ``left`` and ``right`` (-1 at
+    leaves) are derived on construction by one stack walk, which also proves
+    the arrays describe one complete binary tree. The arrays are read-only
+    once the tree is built: prediction walks copies taken at construction.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
 
     def __post_init__(self):
         self.feature = _node_ints(self.feature, "features")
         self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = _node_ints(self.left, "children")
-        self.right = _node_ints(self.right, "children")
         value = np.asarray(self.value)
         self.value = _node_ints(value, "class counts") if value.ndim == 2 else value
-        n = self.feature.shape[0]
-        arrays = (self.feature, self.threshold, self.left, self.right)
-        if n == 0 or any(a.shape != (n,) for a in arrays) or self.value.shape[:1] != (n,):
-            raise InvalidInputError("tree node arrays must be non-empty and of equal length")
+        if self.feature.ndim != 1 or len(self.feature) == 0:
+            raise InvalidInputError("tree features must be a non-empty 1-D array")
         if np.any(self.feature < -1):
             raise InvalidInputError("tree feature indices must be -1 (leaf) or nonnegative")
-        inner = np.flatnonzero(self.feature >= 0)
-        for child in (self.left[inner], self.right[inner]):
-            if np.any(child <= inner) or np.any(child >= n):
-                raise InvalidInputError("tree children must follow their parent and stay below the node count")
-        # The per-row walk reads plain lists (numpy scalar indexing is slower),
-        # and each node's output (winning class or mean) is derived once here.
-        self._nodes = (self.feature.tolist(), self.threshold.tolist(), self.left.tolist(), self.right.tolist())
-        self._output = (self.value.argmax(axis=1) if self.value.ndim == 2 else self.value).tolist()
+        if self.value.ndim not in (1, 2):
+            raise InvalidInputError("tree values must be leaf means (1-D) or leaf class counts (2-D)")
+        n = len(self.feature)
+        splits = np.flatnonzero(self.feature >= 0)
+        leaves = np.flatnonzero(self.feature < 0)
+        if self.threshold.shape != splits.shape:
+            raise InvalidInputError(f"tree has {len(splits)} splits but thresholds of shape {self.threshold.shape}")
+        if len(self.value) != len(leaves):
+            raise InvalidInputError(f"tree has {len(leaves)} leaves but {len(self.value)} leaf values")
+        # Each node after a leaf is the right child of the latest split still
+        # without one; the walk closes as one tree iff every node but the root
+        # gets a parent and no split is left waiting.
+        right = [-1] * n
+        waiting = []
+        for node, f in enumerate(self.feature.tolist()):
+            if f >= 0:
+                waiting.append(node)
+            elif node + 1 < n:
+                if not waiting:
+                    raise InvalidInputError(f"tree features complete one tree at node {node} of {n}")
+                right[waiting.pop()] = node + 1
+        if waiting:
+            raise InvalidInputError("tree features do not close one tree: a split lacks a child")
+        self.left = np.full(n, -1)
+        self.left[splits] = splits + 1
+        self.right = np.array(right)
+        # The per-row walk reads full-length plain lists (numpy scalar
+        # indexing is slower), and each leaf's output (winning class or mean)
+        # is derived once here.
+        threshold = np.zeros(n)
+        threshold[splits] = self.threshold
+        leaf_output = self.value.argmax(axis=1) if self.value.ndim == 2 else self.value
+        output = np.zeros(n, dtype=leaf_output.dtype)
+        output[leaves] = leaf_output
+        self._nodes = (self.feature.tolist(), threshold.tolist(), self.left.tolist(), right)
+        self._output = output.tolist()
 
     def depth(self) -> int:
         depth = np.zeros(len(self.feature), dtype=int)
@@ -273,13 +298,13 @@ def _node_value(y, rows, n_classes):
 
 class _GrowingTree:
     """One tree mid-growth: its generator, its preorder stack of nodes still
-    to visit and its nodes so far as [feature, threshold, left, right, value]."""
+    to visit and its nodes so far as [feature, threshold, value]."""
 
     def __init__(self, rng: np.random.Generator, root: tuple):
         self.rng = rng
-        # (depth, parent, is left child, (rows, value, pure)); a split pushes
-        # its right child first, so the left subtree is visited first.
-        self.stack = [(0, -1, True, root)]
+        # (depth, (rows, value, pure)); a split pushes its right child first,
+        # so the left subtree is visited first.
+        self.stack = [(0, root)]
         self.nodes: list[list] = []
         self.pending = None  # (node, depth, rows, features, value) awaiting a split search
 
@@ -306,11 +331,9 @@ def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split,
     def next_search(tree):
         stack, nodes = tree.stack, tree.nodes
         while stack:
-            depth, parent, is_left, (rows, value, pure) = stack.pop()
+            depth, (rows, value, pure) = stack.pop()
             node = len(nodes)
-            if parent >= 0:
-                nodes[parent][2 if is_left else 3] = node
-            nodes.append([-1, 0.0, -1, -1, value])
+            nodes.append([-1, 0.0, value])
             if pure or (max_depth is not None and depth >= max_depth) or len(rows) < smallest:
                 continue
             if features_per_split < d:
@@ -347,13 +370,15 @@ def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split,
             tree.pending = None
             if 2 * s in children:
                 tree.nodes[node][:2] = f, t
-                tree.stack.append((depth + 1, node, False, children[2 * s + 1]))
-                tree.stack.append((depth + 1, node, True, children[2 * s]))
+                tree.stack.append((depth + 1, children[2 * s + 1]))
+                tree.stack.append((depth + 1, children[2 * s]))
     value_type = float if n_classes is None else np.int64
     grown = []
     for t in trees:
-        feature, threshold, left, right, value = map(np.array, zip(*t.nodes))
-        grown.append(Tree(feature, threshold, left, right, value.astype(value_type, copy=False)))
+        feature = np.array([f for f, _, _ in t.nodes])
+        threshold = np.array([cut for f, cut, _ in t.nodes if f >= 0], dtype=float)
+        value = np.array([v for f, _, v in t.nodes if f < 0], dtype=value_type)
+        grown.append(Tree(feature, threshold, value))
     return grown
 
 

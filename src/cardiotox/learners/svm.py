@@ -72,7 +72,13 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
     return float(_kernel_matrix(spec, x[None, :], z[None, :])[0, 0])
 
 
-def _kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    return (a * a).sum(axis=1)
+
+
+def _kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
+    """K(a_i, b_j) for every row pair; ``b_sq`` is ``_sq_norms(b)`` when the
+    caller keeps it (the RBF kernel reads it)."""
     if spec.gamma is None or spec.gamma <= 0:
         raise InvalidInputError("kernel gamma must be resolved and positive")
     if spec.kind == "linear":
@@ -80,9 +86,8 @@ def _kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     if spec.kind == "poly":
         return (spec.gamma * (a @ b.T) + spec.coef0) ** spec.degree
     if spec.kind == "rbf":
-        aa = (a * a).sum(axis=1)[:, None]
-        bb = (b * b).sum(axis=1)[None, :]
-        sq = np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+        bb = _sq_norms(b) if b_sq is None else b_sq
+        sq = np.maximum(_sq_norms(a)[:, None] + bb[None, :] - 2.0 * (a @ b.T), 0.0)
         return np.exp(-spec.gamma * sq)
     return np.tanh(spec.gamma * (a @ b.T) + spec.coef0)
 
@@ -107,6 +112,8 @@ class SvmModel:
             raise InvalidInputError("support_vectors must be 2-D")
         if self.dual_coefs.shape != (self.support_vectors.shape[0],):
             raise InvalidInputError("one dual coefficient per support vector required")
+        # Every decision reads the support vectors' squared norms (RBF); not stored.
+        self._sv_sq_norms = _sq_norms(self.support_vectors)
 
     @property
     def n_features(self) -> int:
@@ -230,13 +237,13 @@ def svm_decision(model: SvmModel, row: np.ndarray) -> float:
 
 def svm_decision_many(model: SvmModel, matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape[1] != model.n_features:
+    if matrix.ndim != 2 or matrix.shape[1] != model.n_features:
         raise InvalidInputError(
-            f"matrix has {matrix.shape[1]} columns, model expects {model.n_features}"
+            f"matrix has shape {matrix.shape}, model expects (rows, {model.n_features})"
         )
     if model.support_vectors.shape[0] == 0:
         return np.full(matrix.shape[0], model.bias)
-    k = _kernel_matrix(model.kernel, matrix, model.support_vectors)
+    k = _kernel_matrix(model.kernel, matrix, model.support_vectors, model._sv_sq_norms)
     return k @ model.dual_coefs + model.bias
 
 

@@ -3,12 +3,15 @@
 A bundle holds one object from a fixed table of dataclasses, and their fields
 are the schema: an object is stored as a ``type`` tag plus its fields, each
 decoded field must fit its annotation, and the object is rebuilt through its
-own constructor, so each class's checks validate what is loaded. Float arrays are stored as base64 little-endian float64 with their
-shape and float scalars as hex floats (lossless round trips); ints, strings,
-bools and None are plain JSON; integer arrays are JSON int lists, flat with
-their shape beyond one dimension. A payload digest catches corruption. Saving
-is deterministic, and metadata rides along on loaded models so save(load(f))
-reproduces f byte for byte.
+own constructor, so each class's checks validate what is loaded. Float
+arrays are stored as base64 little-endian float64 with their shape and float
+scalars as hex floats (lossless round trips); ints, strings, bools and None
+are plain JSON; integer arrays are JSON int lists, flat with their shape
+beyond one dimension. No class needs its own code: a ``Tree``, for one, is
+its preorder ``feature`` list, one cut per split and one value row per leaf,
+and its constructor derives and checks the children. A payload digest
+catches corruption. Saving is deterministic, and metadata rides along on
+loaded models so save(load(f)) reproduces f byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .learners import BatchNormParams, ForestModel, KernelSpec, MlpModel, RidgeM
 from .pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 from .preprocess import PcaModel, ScalerParams
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 BUNDLE_EXTENSION = ".toxtree.json"
 DEFAULT_CREATED_AT = "1970-01-01T00:00:00Z"
 
@@ -63,7 +66,7 @@ _STORED_FIELDS = {
 }
 # Each stored field's annotation, which its decoded value must fit (see _fits).
 _HINTS = {cls: typing.get_type_hints(cls) for cls in BUNDLE_TYPES.values()}
-# What a list of plain values (such as tree node arrays) may hold; reals are only ever {"hex"}.
+# What a list of plain values (such as a tree's features) may hold; reals are only ever {"hex"}.
 _PLAIN = {int, str, bool, type(None)}
 
 

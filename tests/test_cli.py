@@ -14,7 +14,7 @@ from cardiotox.learners import forest as forest_module
 from cardiotox.persistence import save_bundle
 from cardiotox.pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 
-from conftest import resigned
+from conftest import MALFORMED_TREE_EDITS, resigned
 
 
 def write_activities(path, rows):
@@ -55,13 +55,7 @@ def synthetic_problem(rng, per_class=25):
 
 def stump_stage_model(threshold):
     """Single depth-1 tree: blocker (class 0) iff feature 0 > threshold."""
-    tree = Tree(
-        feature=[0, -1, -1],
-        threshold=[threshold, 0.0, 0.0],
-        left=[1, -1, -1],
-        right=[2, -1, -1],
-        value=[[1, 1], [0, 1], [1, 0]],
-    )
+    tree = Tree(feature=[0, -1, -1], threshold=[threshold], value=[[0, 1], [1, 0]])
     return ForestModel([tree], 1, 1, 1, 0, n_features=1, n_classes=2)
 
 
@@ -506,6 +500,19 @@ class TestMalformedBundle:
         assert code == 2
         assert "forest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", MALFORMED_TREE_EDITS.values(), ids=MALFORMED_TREE_EDITS.keys())
+    def test_malformed_compact_tree_exits_2(self, tmp_path, capsys, edit):
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(class_code_pipeline(), bundle_path)
+        bundle = json.loads(bundle_path.read_text())
+        edit(bundle["payload"]["stages"][0]["model"]["trees"][0])
+        bundle_path.write_text(resigned(bundle))
+        write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
+        code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "forest/tree: tree" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.csv").exists()
 
     def test_mismatched_consensus_members_exit_2(self, tmp_path, capsys):
         pair = ConsensusPair(SubModel("4o5a", 4.5, stump_stage_model(0.5)),
@@ -526,6 +533,7 @@ class TestMalformedBundle:
         "edit, message",
         [
             pytest.param(lambda b: b.__setitem__("schema_version", 2), "schema_version 2", id="schema-2"),
+            pytest.param(lambda b: b.__setitem__("schema_version", 4), "schema_version 4", id="schema-4"),
             pytest.param(lambda b: b.__setitem__("metadata", "tampered"), "metadata", id="metadata-not-object"),
         ],
     )

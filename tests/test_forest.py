@@ -23,10 +23,20 @@ from cardiotox.learners import (
 from conftest import labeled, make_blobs
 
 
+def checked_children(tree: Tree, children: dict) -> Tree:
+    """``tree``, after checking that the children it derives from preorder
+    are the (left, right) pairs, by split node, that a recursion found."""
+    for node in range(len(tree.feature)):
+        assert (tree.left[node], tree.right[node]) == children.get(node, (-1, -1))
+    return tree
+
+
 def oracle_tree(x, y, n_classes, max_depth):
     """Exhaustive enumeration of every (feature, midpoint) split; same
     tie-break (lowest feature, then lowest threshold) and strict gain.
-    Nodes are laid out in preorder with each node's class counts."""
+    Nodes are laid out in preorder, with a cut per split and class counts
+    per leaf; the children the recursion finds must be the ones the tree
+    derives from preorder."""
 
     def gini(labels):
         n = len(labels)
@@ -34,17 +44,14 @@ def oracle_tree(x, y, n_classes, max_depth):
         p = counts / n
         return 1.0 - float((p**2).sum())
 
-    feature, threshold, left, right, value = [], [], [], [], []
+    feature, threshold, value, children = [], [], [], {}
 
     def grow(x, y, depth):
         node = len(feature)
         feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(np.bincount(y, minlength=n_classes))
         n = len(y)
         if (max_depth is not None and depth >= max_depth) or np.all(y == y[0]) or n < 2:
+            value.append(np.bincount(y, minlength=n_classes))
             return node
         parent = gini(y)
         best = (None, None, 0.0)
@@ -58,16 +65,17 @@ def oracle_tree(x, y, n_classes, max_depth):
                 if gain > best[2]:
                     best = (f, t, gain)
         if best[0] is None:
+            value.append(np.bincount(y, minlength=n_classes))
             return node
         f, t, _ = best
         mask = x[:, f] <= t
-        feature[node], threshold[node] = f, t
-        left[node] = grow(x[mask], y[mask], depth + 1)
-        right[node] = grow(x[~mask], y[~mask], depth + 1)
+        feature[node] = f
+        threshold.append(t)
+        children[node] = grow(x[mask], y[mask], depth + 1), grow(x[~mask], y[~mask], depth + 1)
         return node
 
     grow(x, y, 0)
-    return Tree(feature, threshold, left, right, value)
+    return checked_children(Tree(feature, threshold, value), children)
 
 
 def reference_gini_split(x, y, n_classes, feature_ids):
@@ -132,17 +140,15 @@ def reference_tree(x, y, n_classes, max_depth, min_leaf, features_per_split, rng
     ``rng`` when it is reached, so this is the tree the lockstep grower must
     reproduce bit for bit."""
     d = x.shape[1]
-    feature, threshold, left, right, value = [], [], [], [], []
+    feature, threshold, value, children = [], [], [], {}
 
     def grow(idx, depth):
         node = len(feature)
         yy = y[idx]
         feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(forest_module._leaf_mean(yy) if n_classes is None else np.bincount(yy, minlength=n_classes))
+        leaf_value = forest_module._leaf_mean(yy) if n_classes is None else np.bincount(yy, minlength=n_classes)
         if np.all(yy == yy[0]) or (max_depth is not None and depth >= max_depth) or len(idx) < max(min_leaf, 2):
+            value.append(leaf_value)
             return node
         if features_per_split < d:
             feats = np.sort(rng.choice(d, size=features_per_split, replace=False))
@@ -154,15 +160,17 @@ def reference_tree(x, y, n_classes, max_depth, min_leaf, features_per_split, rng
         else:
             f, split, _ = reference_gini_split(xx, yy, n_classes, feats)
         if f is None:
+            value.append(leaf_value)
             return node
         go_left = xx[:, f] <= split
-        feature[node], threshold[node] = int(f), float(split)
-        left[node] = grow(idx[go_left], depth + 1)
-        right[node] = grow(idx[~go_left], depth + 1)
+        feature[node] = int(f)
+        threshold.append(float(split))
+        children[node] = grow(idx[go_left], depth + 1), grow(idx[~go_left], depth + 1)
         return node
 
     grow(np.arange(len(y)), 0)
-    return Tree(feature, threshold, left, right, np.array(value, dtype=float if n_classes is None else np.int64))
+    tree = Tree(feature, threshold, np.array(value, dtype=float if n_classes is None else np.int64))
+    return checked_children(tree, children)
 
 
 def reference_forest(x, y, n_classes, n_estimators, max_depth, seed, features_per_split, min_leaf):
@@ -177,9 +185,10 @@ def reference_forest(x, y, n_classes, n_estimators, max_depth, seed, features_pe
 
 
 def trees_equal(a: Tree, b: Tree) -> bool:
+    """The stored arrays, with their dtypes, and the derived children agree."""
     return all(
-        np.array_equal(getattr(a, name), getattr(b, name))
-        for name in ("feature", "threshold", "left", "right", "value")
+        getattr(a, name).dtype == getattr(b, name).dtype and np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("feature", "threshold", "value", "left", "right")
     )
 
 
@@ -336,12 +345,15 @@ class TestForestClassifier:
         solo = tree_fit(
             x[boot], y[boot], 4, 2, forest.features_per_split, tree_rng, n_classes=2
         )
+        # A node's cut and leaf row sit at its rank among the splits or leaves before it.
+        split_rank = np.cumsum(solo.feature >= 0) - 1
+        leaf_rank = np.cumsum(solo.feature < 0) - 1
         for row in probe:
             node = 0
             while solo.feature[node] >= 0:
-                go_left = row[solo.feature[node]] <= solo.threshold[node]
+                go_left = row[solo.feature[node]] <= solo.threshold[split_rank[node]]
                 node = solo.left[node] if go_left else solo.right[node]
-            assert forest_predict(forest, row) == int(np.argmax(solo.value[node]))
+            assert forest_predict(forest, row) == int(np.argmax(solo.value[leaf_rank[node]]))
 
     def test_unanimous_votes_one_hot(self, rng):
         x = rng.normal(size=(20, 2))
@@ -396,7 +408,7 @@ class TestForestClassifier:
 
     def test_tie_breaks_to_lower_class_index(self):
         # leaves voting 1:1 across two trees
-        leaves = [Tree([-1], [0.0], [-1], [-1], [counts]) for counts in ([5, 0], [0, 5])]
+        leaves = [Tree([-1], [], [counts]) for counts in ([5, 0], [0, 5])]
         model = ForestModel(leaves, 2, None, 1, 0, n_features=1, n_classes=2)
         assert forest_predict(model, np.array([0.0])) == 0
 

@@ -33,7 +33,7 @@ from cardiotox.pipeline import (
 )
 from cardiotox.preprocess import fit_pca, fit_scaler, project, transform_scaler
 
-from conftest import labeled, make_blobs, resigned
+from conftest import MALFORMED_TREE_EDITS, labeled, make_blobs, resigned
 
 
 def roundtrip(model):
@@ -213,12 +213,10 @@ class TestFailureModes:
             pytest.param(lambda p, t: t["feature"].__setitem__(0, 999), id="feature-out-of-range"),
             pytest.param(lambda p, t: t["feature"].__setitem__(0, -2), id="negative-feature"),
             pytest.param(lambda p, t: t["feature"].__setitem__(0, 1.5), id="non-integer-feature"),
-            pytest.param(lambda p, t: t["left"].append(-1), id="length-mismatch"),
-            pytest.param(lambda p, t: t["left"].__setitem__(0, 0), id="child-cycle"),
-            pytest.param(lambda p, t: t["right"].__setitem__(0, len(t["feature"])), id="child-past-end"),
             pytest.param(lambda p, t: t["value"]["ints"].append(0), id="counts-not-n-classes-wide"),
             pytest.param(lambda p, t: t["value"]["ints"].__setitem__(0, True), id="bool-count"),
             pytest.param(lambda p, t: p["trees"].pop(), id="fewer-trees-than-n-estimators"),
+            *(pytest.param(lambda p, t, edit=edit: edit(t), id=name) for name, edit in MALFORMED_TREE_EDITS.items()),
         ],
     )
     def test_malformed_forest_rejected(self, rng, edit):

@@ -313,3 +313,28 @@ class TestSvmDecision:
         batch = svm_decision_many(model, probe)
         for row, expected in zip(probe, batch):
             assert svm_decision(model, row) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [pytest.param((3,), id="1d-row-of-wrong-width"), pytest.param((2,), id="1d-row-of-model-width"),
+         pytest.param((0,), id="empty-1d"), pytest.param((4, 3), id="matrix-of-wrong-width"),
+         pytest.param((1, 2, 1), id="3d")],
+    )
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_wrong_shape_rejected(self, rng, kind, shape):
+        x, y = separable_problem(rng, n=20)
+        model = svm_fit(x, y, KernelSpec(kind), C=1.0)
+        assert model.n_features == 2
+        with pytest.raises(InvalidInputError, match="model expects"):
+            svm_decision_many(model, np.zeros(shape))
+        if len(shape) != 1 or shape[0] != 2:
+            with pytest.raises(InvalidInputError, match="model expects"):
+                svm_decision(model, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_kept_norms_give_the_recomputed_kernel(self, rng, kind):
+        x, y = separable_problem(rng, n=30)
+        model = svm_fit(x, y, KernelSpec(kind), C=1.0)
+        probe = rng.normal(size=(7, 2))
+        fresh = _kernel_matrix(model.kernel, probe, model.support_vectors) @ model.dual_coefs + model.bias
+        assert svm_decision_many(model, probe).tobytes() == fresh.tobytes()
