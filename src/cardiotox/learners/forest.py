@@ -5,13 +5,17 @@ Each tree draws its bootstrap and feature subsets from a generator seeded by
 matter how many threads build it. A forest's trees grow together: each step
 scores one waiting node of every tree in one batched split search, while
 each tree keeps its own preorder node numbering and its own generator
-stream, so every tree is the one it would be if grown alone.
+stream, so every tree is the one it would be if grown alone. A
+classification tree holds its bootstrap as draw counts: each distinct drawn
+row once, with the number of times it was drawn, so a split search sorts and
+counts each row once however often it was drawn. Regression trees keep one
+entry per draw (count 1), since their float running sums depend on row
+order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +131,10 @@ def _leaf_mean(y: np.ndarray) -> float:
     return float(y.mean())
 
 
-# Rows one lockstep step scores at most. A step always takes at least one
-# node, so a larger node is scored alone; the cap bounds the batched search's
-# working memory and does not change which splits are found.
+# Rows held (distinct bootstrap rows of a classification tree, draws of a
+# regression tree) one lockstep step scores at most. A step always takes at
+# least one node, so a larger node is scored alone; the cap bounds the
+# batched search's working memory and does not change which splits are found.
 _STEP_ROWS = 2048
 
 
@@ -174,23 +179,28 @@ def _class_sum(q: np.ndarray) -> np.ndarray:
     return np.moveaxis(q, 0, -1).copy().sum(axis=-1)
 
 
-def _gini_gains(ys, counts, sizes, seg, ends, nl, nr, n):
+def _gini_gains(ys, ws, values, drawn, seg, nl, nr, n, n_left):
     """Gini decrease at every (feature slot, sorted row) cut; ``ys`` holds
-    the class of each sorted row and ``counts`` each node's class counts.
-    Counts left of a cut are integer running sums less those before the
-    node's first row, so they are exact. Each node's own impurity stays a
-    per-node ``_gini_from_counts``: its dot product rounds differently from
-    an elementwise sum of squares."""
-    cum = (ys == np.arange(counts.shape[1])[:, None, None]).cumsum(axis=2)  # (class, slot, row)
-    left = cum - (cum[:, :, ends - 1] - counts.T[:, None, :])[:, :, seg]
-    right = counts.T[:, None, seg] - left
-    parent = np.array([_gini_from_counts(c, total) for c, total in zip(counts, sizes.tolist())])
+    the class and ``ws`` the draw count of each sorted row, ``values`` each
+    node's class counts and ``n_left`` the drawn rows left of each cut.
+    Counts left of a cut are integer running sums of draw counts less those
+    of the nodes before, so they are exact; class 0's are the rest of
+    ``n_left``. Each node's own impurity stays a per-node
+    ``_gini_from_counts``: its dot product rounds differently from an
+    elementwise sum of squares."""
+    classes = np.arange(1, values.shape[1])[:, None, None]
+    before = (np.cumsum(values, axis=0) - values).T[1:, None, seg]  # (class 1.., 1, row)
+    left = np.empty((len(classes) + 1, *ys.shape), dtype=np.int64)  # (class, slot, row)
+    np.subtract(((ys == classes) * ws).cumsum(axis=2), before, out=left[1:])
+    np.subtract(n_left, left[1:].sum(axis=0), out=left[0])
+    right = values.T[:, None, seg] - left
+    parent = np.array([_gini_from_counts(c, total) for c, total in zip(values, drawn.tolist())])
     gini_l = 1.0 - _class_sum((left / nl) ** 2)
     gini_r = 1.0 - _class_sum((right / nr) ** 2)
     return parent[seg] - (nl / n * gini_l + nr / n * gini_r), 0.0
 
 
-def _sse_gains(ys, y_nodes, seg, starts, ends, nl, nr):
+def _sse_gains(ys, y_nodes, drawn, seg, starts, ends, nl, nr):
     """Squared-error decrease at every cut; ``ys`` holds the sorted targets
     and ``y_nodes`` each node's targets in node order.
 
@@ -203,26 +213,26 @@ def _sse_gains(ys, y_nodes, seg, starts, ends, nl, nr):
         np.cumsum(ys[:, a:b] * ys[:, a:b], axis=1, out=left_sq[:, a:b])
     total_sum = np.array([yy.sum() for yy in y_nodes])
     total_sq = np.array([(yy * yy).sum() for yy in y_nodes])
-    parent = total_sq - total_sum * total_sum / (ends - starts)
+    parent = total_sq - total_sum * total_sum / drawn
     right_sum = total_sum[seg] - left_sum
     right_sq = total_sq[seg] - left_sq
     sse = (left_sq - left_sum**2 / nl) + (right_sq - right_sum**2 / nr)
     return parent[seg] - sse, 1e-12 * np.maximum(1.0, np.abs(parent))
 
 
-def _best_splits(x, y, ranks, n_classes, rows, sizes, feats, values):
+def _best_splits(x, y, ranks, n_classes, rows, counts, sizes, drawn, feats, values):
     """Best feature and threshold of each node in one batch; feature -1
     where no cut improves the criterion.
 
     Node s owns ``sizes[s]`` consecutive entries of ``rows`` (indices into
-    ``x``, in node order), samples the features ``feats[s]`` and has leaf
-    value ``values[s]``. All rows are sorted at once per feature slot by
-    (node, rank), which puts each node's rows in the stable value order of
-    its own feature. Cuts between equal values and after a node's last row
-    are excluded. A node's winner is its first feature slot (lowest
-    feature) whose best gain beats every earlier slot's by more than the
-    criterion's tolerance, at the first (lowest-threshold) cut with that
-    gain.
+    ``x``, in node order) and of ``counts`` (their draw counts, ``drawn[s]``
+    in all), samples the features ``feats[s]`` and has leaf value
+    ``values[s]``. All rows are sorted at once per feature slot by (node,
+    rank), which puts each node's rows in the stable value order of its own
+    feature. Cuts between equal values and after a node's last row are
+    excluded. A node's winner is its first feature slot (lowest feature)
+    whose best gain beats every earlier slot's by more than the criterion's
+    tolerance, at the first (lowest-threshold) cut with that gain.
     """
     n_nodes, n_rows = len(sizes), len(rows)
     ends = np.cumsum(sizes)
@@ -231,21 +241,23 @@ def _best_splits(x, y, ranks, n_classes, rows, sizes, feats, values):
     # Flat index into x (and ranks) of each row's cell in each feature slot.
     cells = rows * x.shape[1] + np.repeat(feats.T, sizes, axis=1)
     order = _stable_order(seg * x.shape[0] + ranks.ravel()[cells], n_nodes * x.shape[0])
-    sorted_rows = rows[order]
     xs = x.ravel()[np.take_along_axis(cells, order, axis=1)]
-    nl = (np.arange(n_rows) - starts[seg] + 1).astype(float)
-    n = sizes[seg].astype(float)
+    ws = counts[order]
+    # Drawn rows up to each cut: a running sum over the step less the rows
+    # of the nodes before.
+    n_left = ws.cumsum(axis=1) - (np.cumsum(drawn) - drawn)[seg]
+    nl = n_left.astype(float)
+    n = drawn[seg].astype(float)
     nr = n - nl
-    nr[ends - 1] = 1.0  # no cut after a node's last row; avoids 0/0
+    nr[:, ends - 1] = 1.0  # no cut after a node's last row; avoids 0/0
     if n_classes is None:
         y_nodes = [y[rows[a:b]] for a, b in zip(starts.tolist(), ends.tolist())]
-        gain, tol = _sse_gains(y[sorted_rows], y_nodes, seg, starts, ends, nl, nr)
+        gain, tol = _sse_gains(y[rows][order], y_nodes, drawn, seg, starts, ends, nl, nr)
     else:
-        gain, tol = _gini_gains(y[sorted_rows], np.asarray(values), sizes, seg, ends, nl, nr, n)
+        gain, tol = _gini_gains(y[rows][order], ws, np.asarray(values), drawn, seg, nl, nr, n, n_left)
     gain[:, :-1][xs[:, :-1] == xs[:, 1:]] = -np.inf
     gain[:, ends - 1] = -np.inf
     top = np.maximum.reduceat(gain, starts, axis=1)  # (feature slot, node)
-    first = np.minimum.reduceat(np.where(gain == top[:, seg], np.arange(n_rows), n_rows), starts, axis=1)
     slot = np.full(n_nodes, -1)
     best = np.zeros(n_nodes)
     for j, gains in enumerate(top):
@@ -254,18 +266,21 @@ def _best_splits(x, y, ranks, n_classes, rows, sizes, feats, values):
         best[better] = gains[better]
     feature = np.full(n_nodes, -1)
     threshold = np.full(n_nodes, np.nan)
+    # The first cut in each node's winning slot that reaches its best gain.
+    win = gain[slot[seg], np.arange(n_rows)]
+    first = np.minimum.reduceat(np.where(win == best[seg], np.arange(n_rows), n_rows), starts)
     split = np.flatnonzero(slot >= 0)
     j = slot[split]
-    i = first[j, split]
+    i = first[split]
     feature[split] = feats[split, j]
     threshold[split] = (xs[j, i] + xs[j, i + 1]) / 2.0
     return feature, threshold
 
 
-def _children(x, y, n_classes, rows, sizes, feature, threshold) -> dict:
-    """(rows, value, pure) of the left (2s) and right (2s + 1) child of each
-    node s with ``feature[s]`` >= 0 whose cut leaves rows on both sides;
-    child rows keep node order.
+def _children(x, y, n_classes, rows, counts, sizes, feature, threshold) -> dict:
+    """The node tuple (see ``_node``) of the left (2s) and right (2s + 1)
+    child of each node s with ``feature[s]`` >= 0 whose cut leaves rows on
+    both sides; child rows keep node order.
 
     A midpoint can fail to separate its two values: it rounds onto one of
     two adjacent floats, overflows to infinity, or is NaN next to a NaN.
@@ -274,26 +289,37 @@ def _children(x, y, n_classes, rows, sizes, feature, threshold) -> dict:
     seg = np.repeat(np.arange(n_nodes), sizes)
     child = 2 * seg + ~(x.ravel()[rows * x.shape[1] + np.maximum(feature, 0)[seg]] <= threshold[seg])
     child_sizes = np.bincount(child, minlength=2 * n_nodes)
-    grouped = rows[_stable_order(child, 2 * n_nodes)]
+    grouped = _stable_order(child, 2 * n_nodes)
+    grouped_rows, grouped_counts = rows[grouped], counts[grouped]
     ends = np.cumsum(child_sizes).tolist()
     if n_classes is not None:
-        counts = np.bincount(child * n_classes + y[rows], minlength=2 * n_nodes * n_classes).reshape(-1, n_classes)
-        pure = (counts.max(axis=1) == child_sizes).tolist()
+        # Class counts over drawn rows; draw counts summed as doubles are exact.
+        weighted = np.bincount(child * n_classes + y[rows], weights=counts, minlength=2 * n_nodes * n_classes)
+        values = weighted.astype(np.int64).reshape(-1, n_classes)
+        drawn = values.sum(axis=1)
+        pure = (values.max(axis=1) == drawn).tolist()
+        drawn = drawn.tolist()
     kids = {}
     for s in np.flatnonzero((feature >= 0) & (child_sizes[0::2] > 0) & (child_sizes[1::2] > 0)).tolist():
         for c in (2 * s, 2 * s + 1):
-            part = grouped[ends[c] - child_sizes[c] : ends[c]]
-            kids[c] = _node_value(y, part, None) if n_classes is None else (part, counts[c], pure[c])
+            part = slice(ends[c] - child_sizes[c], ends[c])
+            if n_classes is None:
+                kids[c] = _node(y, grouped_rows[part], grouped_counts[part], None)
+            else:
+                kids[c] = (grouped_rows[part], grouped_counts[part], drawn[c], values[c], pure[c])
     return kids
 
 
-def _node_value(y, rows, n_classes):
-    """(rows, leaf value, pure) of a node: class counts or target mean."""
+def _node(y, rows, counts, n_classes):
+    """(rows, draw counts, drawn rows, leaf value, pure) of a node; the leaf
+    value is its class counts over drawn rows, or its target mean (a
+    regression node holds one entry per draw, each with count 1)."""
     yy = y[rows]
     if n_classes is None:
-        return rows, _leaf_mean(yy), bool(np.all(yy == yy[0]))
-    counts = np.bincount(yy, minlength=n_classes)
-    return rows, counts, bool(counts.max() == len(rows))
+        return rows, counts, len(rows), _leaf_mean(yy), bool(np.all(yy == yy[0]))
+    value = np.bincount(yy, weights=counts, minlength=n_classes).astype(np.int64)
+    drawn = int(value.sum())
+    return rows, counts, drawn, value, bool(value.max() == drawn)
 
 
 class _GrowingTree:
@@ -302,26 +328,30 @@ class _GrowingTree:
 
     def __init__(self, rng: np.random.Generator, root: tuple):
         self.rng = rng
-        # (depth, (rows, value, pure)); a split pushes its right child first,
-        # so the left subtree is visited first.
+        # (depth, node tuple from _node); a split pushes its right child
+        # first, so the left subtree is visited first.
         self.stack = [(0, root)]
         self.nodes: list[list] = []
-        self.pending = None  # (node, depth, rows, features, value) awaiting a split search
+        self.pending = None  # (node, depth, node tuple, features) awaiting a split search
 
 
 def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split, roots) -> list[Tree]:
-    """Grow one tree per (generator, source rows) root, all in lockstep.
+    """Grow one tree per (generator, rows, draw counts) root, all in lockstep.
 
-    Each tree visits its nodes in preorder, writing leaves, until it reaches
-    a node that needs a split search; that node draws its feature subset
-    from the tree's own generator and waits. One batched search then scores
-    the waiting nodes of as many trees as fit in ``_STEP_ROWS`` rows. A node
-    stays a leaf when it is pure, at ``max_depth``, smaller than
-    ``min_leaf`` or 2 rows, when no cut improves the criterion, or when the
-    winning cut sends every row one way (see ``_children``). So every
-    tree's nodes, numbering and generator draws are those of growing it
-    alone by recursion. ``n_classes`` None grows regression trees; rows are
-    indices into ``x``, so a bootstrap needs no copy of the matrix.
+    A root holds each of its rows once with the number of times it was
+    drawn: a classification bootstrap as its distinct rows, a regression
+    bootstrap as one entry per draw with count 1 (float running sums depend
+    on row order, so repeats are not merged). Each tree visits its nodes in
+    preorder, writing leaves, until it reaches a node that needs a split
+    search; that node draws its feature subset from the tree's own generator
+    and waits. One batched search then scores the waiting nodes of as many
+    trees as fit in ``_STEP_ROWS`` rows held. A node stays a leaf when it is
+    pure, at ``max_depth``, smaller than ``min_leaf`` or 2 drawn rows, when
+    no cut improves the criterion, or when the winning cut sends every row
+    one way (see ``_children``). So every tree's nodes, numbering, leaf
+    class counts and generator draws are those of growing it alone by
+    recursion on its drawn rows. ``n_classes`` None grows regression trees;
+    rows are indices into ``x``, so a bootstrap needs no copy of the matrix.
     """
     x = np.ascontiguousarray(x)
     d = x.shape[1]
@@ -331,40 +361,48 @@ def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split,
     def next_search(tree):
         stack, nodes = tree.stack, tree.nodes
         while stack:
-            depth, (rows, value, pure) = stack.pop()
+            depth, held = stack.pop()
+            _, _, drawn, value, pure = held
             node = len(nodes)
             nodes.append([-1, 0.0, value])
-            if pure or (max_depth is not None and depth >= max_depth) or len(rows) < smallest:
+            if pure or (max_depth is not None and depth >= max_depth) or drawn < smallest:
                 continue
             if features_per_split < d:
-                feats = np.sort(tree.rng.choice(d, size=features_per_split, replace=False))
+                feats = tree.rng.choice(d, size=features_per_split, replace=False)
+                feats.sort()
             else:
                 feats = all_features
-            return node, depth, rows, feats, value
+            return node, depth, held, feats
         return None
 
-    trees = [_GrowingTree(rng, _node_value(y, rows, n_classes)) for rng, rows in roots]
+    trees = [_GrowingTree(rng, _node(y, rows, counts, n_classes)) for rng, rows, counts in roots]
     active = trees
     while active:
-        batch, waiting, total = [], [], 0
+        batch, left_out, total = [], [], 0
         for tree in active:
             if tree.pending is None:
                 tree.pending = next_search(tree)
                 if tree.pending is None:
                     continue
-            waiting.append(tree)
-            size = len(tree.pending[2])
+            size = len(tree.pending[2][0])
             if not batch or total + size <= _STEP_ROWS:
                 batch.append(tree)
                 total += size
-        active = waiting
+            else:
+                left_out.append(tree)
         if not batch:
             break
-        _, _, node_rows, feats, values = zip(*(t.pending for t in batch))
+        # Trees left out lead the next step, so a node too large to share a
+        # step does not hold its tree back until the trees before it finish.
+        active = left_out + batch
+        _, _, held, feats = zip(*(t.pending for t in batch))
+        node_rows, node_counts, drawn, values, _ = zip(*held)
         rows = np.concatenate(node_rows)
+        counts = np.concatenate(node_counts)
         sizes = np.array([len(r) for r in node_rows])
-        feature, threshold = _best_splits(x, y, ranks, n_classes, rows, sizes, np.array(feats), values)
-        children = _children(x, y, n_classes, rows, sizes, feature, threshold)
+        feature, threshold = _best_splits(x, y, ranks, n_classes, rows, counts, sizes, np.array(drawn),
+                                          np.array(feats), values)
+        children = _children(x, y, n_classes, rows, counts, sizes, feature, threshold)
         for s, (tree, f, t) in enumerate(zip(batch, feature.tolist(), threshold.tolist())):
             node, depth = tree.pending[:2]
             tree.pending = None
@@ -412,7 +450,7 @@ def tree_fit(
         if y.min() < 0 or y.max() >= n_classes:
             raise InvalidInputError(f"class labels must lie in [0, {n_classes})")
     fps = min(features_per_split, x.shape[1])
-    roots = [(rng, np.arange(x.shape[0]))]
+    roots = [(rng, np.arange(x.shape[0]), np.ones(x.shape[0], dtype=np.int64))]
     return _grow_trees(x, y, _dense_ranks(x), n_classes, max_depth, min_leaf, fps, roots)[0]
 
 
@@ -471,13 +509,23 @@ def _fit_forest(
     roots = []
     for i in range(n_estimators):
         rng = np.random.default_rng((seed, i))
-        roots.append((rng, rng.integers(0, n, n)))
+        boot = rng.integers(0, n, n)
+        if n_classes is None:
+            roots.append((rng, boot, np.ones(n, dtype=np.int64)))
+        else:
+            draws = np.bincount(boot, minlength=n)
+            rows = np.flatnonzero(draws)
+            roots.append((rng, rows, draws[rows]))
     ranks = _dense_ranks(x)
 
     def grow(share) -> list[Tree]:
         return _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, min(fps, d), share)
 
     if threads > 1:
+        # Imported here: it loads logging, queue and traceback, a cost every
+        # command would pay for a pool that few runs start.
+        from concurrent.futures import ThreadPoolExecutor
+
         trees: list[Tree] = [None] * n_estimators
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for t, grown in enumerate(pool.map(grow, [roots[t::threads] for t in range(threads)])):

@@ -513,11 +513,15 @@ def tune_grid(
             train_ds = balance(train_ds, fold_plan)
         val_ds = dataset.subset(val_idx)
         forests = _largest_forests(space, train_ds, seed)
+        # Deepest tree among each forest's first i + 1 trees.
+        prefix_depths = {
+            depth: np.maximum.accumulate([tree.depth() for tree in forest.trees]) for depth, forest in forests.items()
+        }
         for c, config in enumerate(space):
             if isinstance(config, ForestConfig):
                 full = forests[config.max_depth]
                 model = replace(full, trees=full.trees[: config.n_estimators], n_estimators=config.n_estimators)
-                depths[c] = max(depths[c] or 0, model.observed_max_depth())
+                depths[c] = max(depths[c] or 0, int(prefix_depths[config.max_depth][config.n_estimators - 1]))
                 preds = forest_predict_many(model, val_ds.matrix)
             else:
                 preds, fit_converged = _fit_and_predict(

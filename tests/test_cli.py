@@ -1,7 +1,12 @@
+import concurrent.futures
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,6 @@ from cardiotox import cli as cli_module
 from cardiotox import pipeline as pipeline_module
 from cardiotox.cli import main
 from cardiotox.learners import ForestModel, KernelSpec, SvmModel, Tree, svm_fit
-from cardiotox.learners import forest as forest_module
 from cardiotox.persistence import save_bundle
 from cardiotox.pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 
@@ -284,7 +288,8 @@ class TestTrain:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(forest_module, "ThreadPoolExecutor", no_pool)
+        # The grower imports the pool only when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         code = main(
             [
                 "train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
@@ -650,3 +655,13 @@ class TestEvaluate:
         assert code == 2
         assert "descriptor row keys appear more than once: ['a']" in capsys.readouterr().err
         assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # Every command imports the CLI; only a forest fit with --threads > 1
+    # needs concurrent.futures (and the logging, queue and traceback it loads).
+    src = Path(cli_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, cardiotox.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import concurrent.futures
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -306,16 +308,114 @@ class TestSplitSearch:
 
     @pytest.mark.parametrize("n_classes", [None, 2, 3])
     def test_first_step_beyond_row_cap(self, n_classes):
-        # 8 roots of 300 rows each are more than one step takes.
+        # 8 roots of 600 rows each hold more rows than one step takes, also
+        # as distinct bootstrap rows (a classification root's rows).
+        n = 600
         rng = np.random.default_rng(5)
-        x = rng.integers(0, 6, size=(300, 6)).astype(float)
-        y = rng.normal(size=300) if n_classes is None else rng.integers(0, n_classes, size=300)
-        assert 8 * 300 > forest_module._STEP_ROWS
+        x = rng.integers(0, 6, size=(n, 6)).astype(float)
+        y = rng.normal(size=n) if n_classes is None else rng.integers(0, n_classes, size=n)
+        distinct = sum(len(np.unique(np.random.default_rng((17, i)).integers(0, n, n))) for i in range(8))
+        assert distinct > forest_module._STEP_ROWS
         expected = reference_forest(x, y, n_classes, 8, None, 17, 3, 2)
         for threads in (1, 4):
             model = fit_forest(x, y, n_classes, 8, None, 17, 3, 2, threads)
             for grown, tree in zip(model.trees, expected):
                 assert trees_equal(grown, tree)
+
+
+class TestDrawnRows:
+    """A classification tree holds each bootstrap row once with its draw
+    count; its stopping rules and leaf counts still count drawn rows."""
+
+    @staticmethod
+    def two_row_seed(classes_differ: bool) -> int:
+        """First seed whose tree-0 bootstrap of 4 rows (classes 0, 1, 0, 1)
+        draws exactly 2 distinct rows, of different or of equal classes."""
+        for seed in range(1000):
+            drawn = set(np.random.default_rng((seed, 0)).integers(0, 4, 4).tolist())
+            if len(drawn) == 2 and (len({r % 2 for r in drawn}) == 2) == classes_differ:
+                return seed
+        raise AssertionError("no such seed")
+
+    @pytest.mark.parametrize("min_leaf, max_depth, splits", [(3, None, True), (4, None, True), (5, None, False),
+                                                             (3, 0, False)])
+    def test_two_distinct_rows_drawn_four_times(self, min_leaf, max_depth, splits):
+        # The root holds 2 distinct rows but 4 drawn ones: min_leaf compares
+        # the 4, so min_leaf 3 or 4 lets it split, 5 does not.
+        x = np.arange(4.0)[:, None]
+        y = np.array([0, 1, 0, 1])
+        seed = self.two_row_seed(classes_differ=True)
+        model = forest_fit(labeled(x, y), 1, max_depth, seed, 1, min_leaf)
+        (tree,) = reference_forest(x, y, 2, 1, max_depth, seed, 1, min_leaf)
+        assert trees_equal(model.trees[0], tree)
+        assert (model.trees[0].feature[0] >= 0) == splits
+        assert model.trees[0].value.sum() == 4
+
+    def test_pure_root_counts_every_draw(self):
+        x = np.arange(4.0)[:, None]
+        y = np.array([0, 1, 0, 1])
+        seed = self.two_row_seed(classes_differ=False)
+        model = forest_fit(labeled(x, y), 1, None, seed, 1, 1)
+        (tree,) = reference_forest(x, y, 2, 1, None, seed, 1, 1)
+        assert trees_equal(model.trees[0], tree)
+        assert list(model.trees[0].feature) == [-1]
+        assert sorted(model.trees[0].value[0].tolist()) == [0, 4]
+
+    def test_stopping_rules_on_repeated_rows(self):
+        # Tiny inputs repeat most bootstrap rows, so many nodes hold fewer
+        # distinct rows than drawn ones; each tree must be the one grown on
+        # its drawn rows, with every repeat.
+        beyond_min_leaf = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 9))
+            x = rng.integers(0, 4, size=(n, 2)).astype(float)
+            y = rng.integers(0, 3, size=n)
+            min_leaf = int(rng.integers(1, 6))
+            max_depth = [None, 1, 2][seed % 3]
+            model = forest_fit(labeled(x, y, ("a", "b", "c")), 6, max_depth, seed, 2, min_leaf)
+            for grown, tree in zip(model.trees, reference_forest(x, y, 3, 6, max_depth, seed, 2, min_leaf)):
+                assert trees_equal(grown, tree), f"seed {seed}"
+            for i in range(6):
+                distinct = len(np.unique(np.random.default_rng((seed, i)).integers(0, n, n)))
+                beyond_min_leaf += distinct < min_leaf <= n
+        assert beyond_min_leaf > 0
+
+
+def forest_digest(model: ForestModel) -> str:
+    digest = hashlib.sha256()
+    for tree in model.trees:
+        for array in (tree.feature, tree.threshold, tree.value):
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+# Digests of forests grown by the per-draw grower (each bootstrap draw its own
+# row) before trees held their bootstrap as draw counts; any change to the
+# trees a seed grows changes them.
+GOLDEN_FORESTS = {
+    (2, None, 2): "5a265414f73c27fd8b94bbc3d2988a536f90a863e927cf885d2bbaafdc4b6405",
+    (2, 5, 4): "9947694dd83bffb63649a1ada4dbd2249bc6319e70cd325acaf8b8a5d83ddb86",
+    (3, None, 2): "29528115a2886c03ef0f1af0257da9adc732ea008de7ced07d690cb252ed2958",
+    (3, 5, 4): "a3b60a9f00377e0abc4820590f558faee68b0b966aa006ef8da53764a9065bf3",
+    (None, None, 2): "6a09249a7639b36c4415ea13d41704db8610da0cf853ef3ce996eb584859d365",
+    (None, 5, 4): "ec98bdfe49967ef4bd3bbf9d57551ccd81fb4f599d095c6b380dedb7710ee843",
+}
+
+
+@pytest.mark.parametrize("n_classes, max_depth, min_leaf", GOLDEN_FORESTS)
+def test_forest_matches_golden_digest(n_classes, max_depth, min_leaf):
+    rng = np.random.default_rng(1303)
+    x = np.round(rng.normal(size=(600, 9)), 1)
+    score = x[:, 0] + 0.6 * x[:, 1] * x[:, 2] + rng.normal(scale=0.7, size=600)
+    if n_classes is None:
+        model = forest_regress_fit(x, score, 12, max_depth, seed=7, min_leaf=min_leaf)
+    else:
+        y = np.digitize(score, np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1]))
+        names = tuple(f"c{i}" for i in range(n_classes))
+        model = forest_fit(labeled(x, y, names), 12, max_depth, seed=7, min_leaf=min_leaf)
+    assert forest_digest(model) == GOLDEN_FORESTS[n_classes, max_depth, min_leaf]
 
 
 class TestInvalidSettings:
@@ -422,8 +522,11 @@ class TestForestClassifier:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(forest_module, "ThreadPoolExecutor", no_pool)
+        # The grower imports the pool only when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         x, y = make_blobs(rng, [[0, 0], [4, 4]], 5)
+        with pytest.raises(AssertionError, match="thread pool"):
+            forest_fit(labeled(x, y), 3, threads=2)
         with pytest.raises(InvalidInputError):
             forest_fit(labeled(x, y), 3, threads=threads)
         with pytest.raises(InvalidInputError):
