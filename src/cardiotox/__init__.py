@@ -2,8 +2,9 @@
 
 Curation and PIC50 labeling, descriptor-space reduction, from-scratch
 learners (forests, SMO SVMs, MLPs, ridge), imbalanced-class resampling,
-the full binary/multiclass metric suite, hierarchical ToxTree pipelines,
-and deterministic model bundles, plus a batch CLI.
+the full binary/multiclass metric suite, hierarchical ToxTree pipelines
+whose stages are forests or SVMs (the MLP is a standalone learner), and
+deterministic model bundles, plus a batch CLI.
 """
 
 __version__ = "0.1.0"

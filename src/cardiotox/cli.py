@@ -238,7 +238,7 @@ def _grid_for(args, target: str) -> list:
     return [SvmConfig("linear", 1.0), SvmConfig("rbf", 1.0), SvmConfig("rbf", 10.0)]
 
 
-def _cv_report_rows(threshold, name, strategy, tuning, family):
+def _cv_report_rows(threshold, name, strategy, tuning):
     rows = []
     for res in tuning.ranked:
         cfg = res.config
@@ -252,7 +252,7 @@ def _cv_report_rows(threshold, name, strategy, tuning, family):
             "f1_cv": mx.format_percent(res.f1_cv),
             "config": res.describe(),
             "n_estimators": getattr(cfg, "n_estimators", ""),
-            "max_depth": res.observed_max_depth if family == "rf" else "",
+            "max_depth": "" if res.observed_max_depth is None else res.observed_max_depth,
             "kernel": getattr(cfg, "kernel", ""),
             "C": getattr(cfg, "c", ""),
             "degree": getattr(cfg, "degree", "") if getattr(cfg, "kernel", "") == "poly" else "",
@@ -325,7 +325,7 @@ def cmd_train(args) -> int:
             name = _stage_name(threshold, family, strategy)
             for warning in tuning.fold_warnings:
                 print(f"note: stage {name}: {warning}", file=sys.stderr)
-            report_rows.extend(_cv_report_rows(threshold, name, strategy, tuning, family))
+            report_rows.extend(_cv_report_rows(threshold, name, strategy, tuning))
             model = fit_config(best, balance(stage_ds, plan), seed, threads)
             if family == "svm" and not model.converged:
                 print(f"warning: stage {name} SVM {best.describe()} did not converge "

@@ -438,8 +438,8 @@ def tree_fit(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
-    if x.ndim != 2 or x.shape[0] == 0 or y.shape != (x.shape[0],):
-        raise InvalidInputError("tree_fit needs a non-empty 2-D matrix and one target per row")
+    if x.ndim != 2 or 0 in x.shape or y.shape != (x.shape[0],):
+        raise InvalidInputError("tree_fit needs a 2-D matrix with rows and feature columns, and one target per row")
     _check_tree_settings(max_depth, min_leaf, features_per_split)
     if regression:
         y, n_classes = y.astype(float), None
@@ -505,6 +505,8 @@ def _fit_forest(
         raise InvalidInputError(f"threads must be at least 1, got {threads}")
     _check_tree_settings(max_depth, min_leaf, features_per_split)
     n, d = x.shape
+    if d == 0:
+        raise InvalidInputError("cannot fit a forest on a matrix with no feature columns")
     fps = features_per_split if features_per_split is not None else _default_features_per_split(d)
     roots = []
     for i in range(n_estimators):

@@ -25,21 +25,15 @@ from .dataset import (
     PotencyClass,
     assign_class,
     stratified_kfold,
-    stratified_split,
 )
 from .errors import InvalidInputError
 from .learners import (
     ForestModel,
     KernelSpec,
-    MlpModel,
     SvmModel,
-    TrainConfig,
     forest_fit,
     forest_predict_many,
     forest_predict_proba,
-    mlp_init,
-    mlp_predict_proba,
-    mlp_train,
     svm_decision,
     svm_decision_many,
     svm_fit,
@@ -81,13 +75,13 @@ class PredictionOutcome:
 
 
 def _stage_predict(model: Any, row: np.ndarray) -> StagePrediction:
-    """Binary verdict + confidence from any supported stage model.
+    """Binary verdict + confidence from a forest or SVM stage model.
 
-    Class 0 is "blocker" (BINARY_CLASS_NAMES). Forests and MLPs report the
-    vote/softmax share of the predicted class; SVMs squash the decision value
-    through a logistic only for reporting (routing uses the sign), and a NaN
-    decision, which has no sign, raises. Objects exposing stage_predict(row)
-    are accepted as-is, which is how test stubs plug in.
+    Class 0 is "blocker" (BINARY_CLASS_NAMES). Forests report the vote share
+    of the predicted class; SVMs squash the decision value through a logistic
+    only for reporting (routing uses the sign), and a NaN decision, which has
+    no sign, raises. Objects exposing stage_predict(row) are accepted as-is,
+    which is how test stubs plug in.
     """
     if hasattr(model, "stage_predict"):
         blocker, prob = model.stage_predict(row)
@@ -103,10 +97,6 @@ def _stage_predict(model: Any, row: np.ndarray) -> StagePrediction:
         p_blocker = 1.0 / (1.0 + math.exp(-f)) if f > -700 else 0.0
         blocker = f >= 0.0
         return StagePrediction(blocker, p_blocker if blocker else 1.0 - p_blocker)
-    if isinstance(model, MlpModel):
-        proba = mlp_predict_proba(model, row)
-        cls = int(np.argmax(proba))
-        return StagePrediction(cls == 0, float(proba[cls]))
     raise InvalidInputError(f"unsupported stage model type {type(model).__name__}")
 
 
@@ -116,7 +106,7 @@ class SubModel:
 
     name: str
     threshold: float
-    model: ForestModel | SvmModel | MlpModel  # or any object with stage_predict(row)
+    model: ForestModel | SvmModel  # or any object with stage_predict(row)
 
     def __post_init__(self):
         if float(self.threshold) not in CUTOFFS:
@@ -124,6 +114,8 @@ class SubModel:
                 f"stage threshold must be one of {sorted(CUTOFFS)}, got {self.threshold}"
             )
         self.threshold = float(self.threshold)
+        if not isinstance(self.model, (ForestModel, SvmModel)) and not hasattr(self.model, "stage_predict"):
+            raise InvalidInputError(f"unsupported stage model type {type(self.model).__name__}")
 
     @property
     def n_features(self) -> int | None:
@@ -145,7 +137,7 @@ class ConsensusPair:
     def __post_init__(self):
         if self.model_a.threshold != self.model_b.threshold:
             raise InvalidInputError("consensus members must share a threshold")
-        if self.prob_tolerance < 0:
+        if not self.prob_tolerance >= 0:  # NaN fails too
             raise InvalidInputError("prob_tolerance must be nonnegative")
         dim_a, dim_b = self.model_a.n_features, self.model_b.n_features
         if dim_a is not None and dim_b is not None and dim_a != dim_b:
@@ -199,6 +191,8 @@ class PreprocessChain:
         """Fit the scaler (and, given an energy, PCA on the scaled rows) to
         training rows in whitelist order; returns the chain and the rows it
         outputs for them."""
+        if np.ndim(matrix) == 2 and np.shape(matrix)[1] == 0:
+            raise InvalidInputError("training rows have no feature columns (empty whitelist or descriptor header)")
         scaler = fit_scaler(matrix)
         pca = None if pca_energy is None else fit_pca(transform_scaler(scaler, matrix), pca_energy)
         chain = cls(list(whitelist), scaler, pca)
@@ -320,23 +314,6 @@ class SvmConfig:
         return f"svm({self.kernel},C={self.c:g})"
 
 
-@dataclass(frozen=True)
-class MlpGridConfig:
-    activation: str
-    dropout_rate: float
-    batchnorm: bool
-    batch_size: int
-
-    def size_key(self):
-        return (self.batch_size,)
-
-    def describe(self) -> str:
-        return (
-            f"mlp({self.activation},drop={self.dropout_rate:g},"
-            f"bn={'on' if self.batchnorm else 'off'},batch={self.batch_size})"
-        )
-
-
 # Paper-derived hyperparameter spaces.
 SVM_C_VALUES = (0.1, 0.2, 0.5, 0.8, 1, 3, 5, 10, 50, 100)
 
@@ -344,11 +321,6 @@ SVM_C_VALUES = (0.1, 0.2, 0.5, 0.8, 1, 3, 5, 10, 50, 100)
 def herg_rf_space() -> list[ForestConfig]:
     """11 estimator counts, 10 through 110."""
     return [ForestConfig(n) for n in range(10, 111, 10)]
-
-
-def nav_rf_space() -> list[ForestConfig]:
-    """10 estimator counts, 10 through 100."""
-    return [ForestConfig(n) for n in range(10, 101, 10)]
 
 
 def svm_space() -> list[SvmConfig]:
@@ -366,26 +338,14 @@ def svm_space() -> list[SvmConfig]:
     return configs
 
 
-def mlp_space() -> list[MlpGridConfig]:
-    """2^4 combinations of activation, dropout, batch norm, and batch size."""
-    configs = []
-    for activation in ("relu", "sigmoid"):
-        for dropout in (0.5, 0.0):
-            for batchnorm in (True, False):
-                for batch_size in (256, 512):
-                    configs.append(MlpGridConfig(activation, dropout, batchnorm, batch_size))
-    return configs
-
-
 @dataclass
 class ConfigResult:
-    config: Any
+    config: ForestConfig | SvmConfig
     ac_cv: float
     f1_cv: float
     binary_ac_cv: float | None = None
     observed_max_depth: int | None = None
-    # SVMs: whether every fold's fit converged. None for learners without a
-    # convergence test.
+    # SVMs: whether every fold's fit converged. None for forests.
     converged: bool | None = None
     fold_ac: list[float] = field(default_factory=list)
     fold_f1: list[float] = field(default_factory=list)
@@ -432,27 +392,7 @@ def fit_config(config: ForestConfig | SvmConfig, dataset: LabeledDataset, seed: 
     raise InvalidInputError(f"unsupported config type {type(config).__name__}")
 
 
-def _fit_and_predict(config, train_ds: LabeledDataset, val_x: np.ndarray, seed: int,
-                     mlp_hidden: tuple[int, ...], mlp_train_config: TrainConfig):
-    """Validation predictions, and whether the fit converged (None for MLPs)."""
-    if isinstance(config, SvmConfig):
-        model = fit_config(config, train_ds, seed)
-        f = svm_decision_many(model, val_x)
-        return np.where(f >= 0.0, 0, 1), model.converged
-    if isinstance(config, MlpGridConfig):
-        cfg = replace(mlp_train_config, batch_size=config.batch_size, seed=seed)
-        sizes = [train_ds.n_features, *mlp_hidden, len(train_ds.class_names)]
-        model = mlp_init(sizes, config.activation, seed, config.dropout_rate, config.batchnorm)
-        inner_train, inner_val = stratified_split(train_ds, cfg.validation_fraction, seed)
-        if inner_val.n_rows == 0:
-            inner_train, inner_val = train_ds, train_ds
-        result = mlp_train(model, inner_train, inner_val, cfg)
-        probs = mlp_predict_proba(result.model, val_x)
-        return np.argmax(probs, axis=1), None
-    raise InvalidInputError(f"unsupported config type {type(config).__name__}")
-
-
-def _largest_forests(space: Sequence[Any], train_ds: LabeledDataset, seed: int) -> dict:
+def _largest_forests(space: Sequence[ForestConfig | SvmConfig], train_ds: LabeledDataset, seed: int) -> dict:
     """One forest per max_depth in the space, as large as its largest config.
 
     Tree i depends only on (seed, i), so the forest a config would fit on its
@@ -466,13 +406,11 @@ def _largest_forests(space: Sequence[Any], train_ds: LabeledDataset, seed: int) 
 
 
 def tune_grid(
-    space: Sequence[Any],
+    space: Sequence[ForestConfig | SvmConfig],
     dataset: LabeledDataset,
     k: int = 10,
     seed: int = 0,
     plan: ResamplePlan | None = None,
-    mlp_hidden: Sequence[int] = (40,),
-    mlp_train_config: TrainConfig | None = None,
 ) -> TuningResult:
     """Stratified k-fold CV over every configuration, resampling only the
     training side of each fold.
@@ -484,10 +422,10 @@ def tune_grid(
     Rankings put every configuration whose fit failed to converge in some
     fold (``converged`` False; SVMs only) after all the others, then order
     by AC_cv, then F1_cv, then the smaller model (fewer estimators / smaller
-    C / smaller batch). An unconverged configuration is thus picked only
-    when no configuration converged. AC_cv is the dataset's native
-    accuracy (multiclass when labels are multiclass); F1 and binary accuracy
-    are derived at the blocker boundary where the class layout defines one.
+    C). An unconverged configuration is thus picked only when no
+    configuration converged. AC_cv is the dataset's native accuracy
+    (multiclass when labels are multiclass); F1 and binary accuracy are
+    derived at the blocker boundary where the class layout defines one.
     """
     if not space:
         raise InvalidInputError("hyperparameter space must be non-empty")
@@ -496,8 +434,6 @@ def tune_grid(
         raise InvalidInputError("resampling plans apply to binary datasets only")
     folds: FoldPlan = stratified_kfold(dataset, k, seed)
     binary = _binary_view(dataset)
-    mlp_hidden = tuple(mlp_hidden)
-    mlp_train_config = mlp_train_config or TrainConfig(epochs=50)
 
     fold_ac: list[list[float]] = [[] for _ in space]
     fold_f1: list[list[float]] = [[] for _ in space]
@@ -524,11 +460,9 @@ def tune_grid(
                 depths[c] = max(depths[c] or 0, int(prefix_depths[config.max_depth][config.n_estimators - 1]))
                 preds = forest_predict_many(model, val_ds.matrix)
             else:
-                preds, fit_converged = _fit_and_predict(
-                    config, train_ds, val_ds.matrix, seed, mlp_hidden, mlp_train_config
-                )
-                if fit_converged is not None:
-                    converged[c] = fit_converged and converged[c] is not False
+                model = fit_config(config, train_ds, seed)
+                preds = np.where(svm_decision_many(model, val_ds.matrix) >= 0.0, 0, 1)
+                converged[c] = model.converged and converged[c] is not False
             fold_ac[c].append(float(np.mean(preds == val_ds.labels)))
             if binary is not None:
                 blocker_truth = binary[0][val_idx]

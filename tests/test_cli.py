@@ -14,7 +14,7 @@ import pytest
 from cardiotox import cli as cli_module
 from cardiotox import pipeline as pipeline_module
 from cardiotox.cli import main
-from cardiotox.learners import ForestModel, KernelSpec, SvmModel, Tree, svm_fit
+from cardiotox.learners import ForestModel, KernelSpec, SvmModel, Tree, mlp_init, svm_fit
 from cardiotox.persistence import save_bundle
 from cardiotox.pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 
@@ -187,6 +187,28 @@ class TestTrain:
         )
         assert code == 2
         assert "ghost_feature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["herg", "nav15"])
+    @pytest.mark.parametrize("source", ["comment-only-whitelist", "key-only-header"])
+    def test_no_feature_columns_exits_2(self, trained, tmp_path, capsys, target, source):
+        descriptors = trained["descriptors"]
+        args = []
+        if source == "comment-only-whitelist":
+            whitelist = tmp_path / "wl.txt"
+            whitelist.write_text("# no features\n\n")
+            args = ["--whitelist", str(whitelist)]
+        else:
+            descriptors = tmp_path / "keys.csv"
+            write_descriptors(descriptors, trained["keys"], np.empty((len(trained["keys"]), 0)), [])
+        code = main(
+            [
+                "train", "--descriptors", str(descriptors), "--compounds", str(trained["compounds"]),
+                "--target", target, "--grid", "quick", "--folds", "2", "--out", str(tmp_path / "o"), *args,
+            ]
+        )
+        assert code == 2
+        assert "error: training rows have no feature columns" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "cv_report.csv").exists()
 
     def test_nav_target_trains_with_pca(self, trained, tmp_path, capsys):
         out = tmp_path / "nav"
@@ -517,6 +539,22 @@ class TestMalformedBundle:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "forest/tree: tree" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.csv").exists()
+
+    def test_mlp_stage_exits_2(self, tmp_path, capsys):
+        # Stages are forests or SVMs; an MLP bundles on its own but not as a stage.
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(mlp_init([1, 4, 2], "relu", seed=0), bundle_path)
+        mlp = json.loads(bundle_path.read_text())["payload"]
+        save_bundle(class_code_pipeline(), bundle_path)
+        bundle = json.loads(bundle_path.read_text())
+        bundle["payload"]["stages"][0]["model"] = mlp
+        bundle_path.write_text(resigned(bundle))
+        write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
+        code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'model' cannot hold a MlpModel" in capsys.readouterr().err
         assert not (tmp_path / "o" / "predictions.csv").exists()
 
     def test_mismatched_consensus_members_exit_2(self, tmp_path, capsys):

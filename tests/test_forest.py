@@ -433,6 +433,17 @@ class TestInvalidSettings:
             else:
                 tree_fit(x, y, rng=rng, n_classes=2, **kwargs)
 
+    @pytest.mark.parametrize("fit", ["forest_fit", "forest_regress_fit", "tree_fit"])
+    def test_no_feature_columns_rejected(self, rng, fit):
+        x, y = np.empty((20, 0)), np.repeat([0, 1], 10)
+        with pytest.raises(InvalidInputError, match="feature columns"):
+            if fit == "forest_fit":
+                forest_fit(labeled(x, y), 3, seed=0)
+            elif fit == "forest_regress_fit":
+                forest_regress_fit(x, y.astype(float), 3, seed=0)
+            else:
+                tree_fit(x, y, max_depth=None, min_leaf=2, features_per_split=1, rng=rng)
+
 
 class TestForestClassifier:
     def test_single_tree_equals_bootstrap_tree(self, rng):

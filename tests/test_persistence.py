@@ -367,6 +367,14 @@ class TestFailureModes:
         with pytest.raises(BundleError, match=match):
             load_bundle(io.StringIO(resigned(bundle)))
 
+    def test_mlp_stage_rejected(self, rng):
+        # Stages are forests or SVMs; an MLP bundles on its own but not as a stage.
+        models = build_models(rng)
+        bundle = json.loads(saved(build_pipelines(rng, models)["herg"]))
+        bundle["payload"]["stages"][0]["model"] = json.loads(saved(models["mlp"]))["payload"]
+        with pytest.raises(BundleError, match="'model' cannot hold a MlpModel"):
+            load_bundle(io.StringIO(resigned(bundle)))
+
     @pytest.mark.parametrize(
         "edit, match",
         [
