@@ -110,10 +110,13 @@ def _build_parser() -> _Parser:
     # Config-file values bypass argparse, so each command keeps its flags' choices to check them against.
     for p in sub.choices.values():
         p.set_defaults(flag_choices={a.dest: a.choices for a in p._actions if a.choices})
+    # A config file may serve several commands, so it may set any command's flag, and nothing else.
+    parser.config_keys = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
+    parser.config_keys -= {"help", "config"}
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, known_keys: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -126,7 +129,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in known_keys:
+            raise UsageError(f"config line {lineno}: unknown key {key!r} (not a flag of any command)")
+        values[key] = value.strip()
     return values
 
 
@@ -238,7 +244,7 @@ def _grid_for(args, target: str) -> list:
     return [SvmConfig("linear", 1.0), SvmConfig("rbf", 1.0), SvmConfig("rbf", 10.0)]
 
 
-def _cv_report_rows(threshold, name, strategy, tuning):
+def _cv_report_rows(threshold, name, strategy, class_counts, tuning):
     rows = []
     for res in tuning.ranked:
         cfg = res.config
@@ -246,8 +252,8 @@ def _cv_report_rows(threshold, name, strategy, tuning):
             "threshold": f"{threshold:g}",
             "stage": name,
             "sampling": strategy.value if isinstance(strategy, Strategy) else strategy,
-            "blk": tuning.class_distribution[0],
-            "nblk": tuning.class_distribution[1],
+            "blk": class_counts[0],
+            "nblk": class_counts[1],
             "ac_cv": mx.format_percent(res.ac_cv),
             "f1_cv": mx.format_percent(res.f1_cv),
             "config": res.describe(),
@@ -265,6 +271,8 @@ def _cv_report_rows(threshold, name, strategy, tuning):
 def cmd_train(args) -> int:
     out = _out_dir(args)
     seed = _merged(args, "seed", DEFAULT_SEED, int)
+    if seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {seed}")
     threads = _merged(args, "threads", 1, int)
     if threads < 1:
         raise UsageError(f"--threads must be at least 1, got {threads}")
@@ -320,13 +328,14 @@ def cmd_train(args) -> int:
         members = []
         for strategy in strategies:
             plan = ResamplePlan(strategy, seed=seed + int(threshold * 10))
+            train_ds = balance(stage_ds, plan)
             tuning = tune_grid(space, stage_ds, k=folds, seed=seed, plan=plan)
             best = tuning.best.config
             name = _stage_name(threshold, family, strategy)
             for warning in tuning.fold_warnings:
                 print(f"note: stage {name}: {warning}", file=sys.stderr)
-            report_rows.extend(_cv_report_rows(threshold, name, strategy, tuning))
-            model = fit_config(best, balance(stage_ds, plan), seed, threads)
+            report_rows.extend(_cv_report_rows(threshold, name, strategy, train_ds.class_counts(), tuning))
+            model = fit_config(best, train_ds, seed, threads)
             if family == "svm" and not model.converged:
                 print(f"warning: stage {name} SVM {best.describe()} did not converge "
                       "within the update cap", file=sys.stderr)
@@ -466,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         # Read once per call, so a later call in this process sees later edits.
-        args.config_values = _load_config_file(args.config) if args.config else {}
+        args.config_values = _load_config_file(args.config, parser.config_keys) if args.config else {}
         handler = {
             "curate": cmd_curate,
             "train": cmd_train,
@@ -477,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, InvalidInputError, BundleError, FileNotFoundError) as exc:
+    except (ParseError, InvalidInputError, BundleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingDivergedError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -42,7 +42,6 @@ class MlpModel:
     activation: str
     dropout_rate: float
     batchnorm: list[BatchNormParams] | None
-    mode: str = "eval"  # train | eval
 
     def __post_init__(self):
         self.layer_sizes = sizes = tuple(self.layer_sizes)
@@ -76,7 +75,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 100
     seed: int = 0
-    validation_fraction: float = 0.1
 
     def __post_init__(self):
         # A zero learning rate is allowed (it must leave parameters unchanged).
@@ -281,7 +279,6 @@ def _snapshot(model: MlpModel) -> MlpModel:
         model.activation,
         model.dropout_rate,
         copy.deepcopy(model.batchnorm),
-        mode="eval",
     )
 
 
@@ -317,7 +314,6 @@ def mlp_train(
     best = None
 
     for epoch in range(1, config.epochs + 1):
-        model.mode = "train"
         order = rng.permutation(train.n_rows)
         for start in range(0, train.n_rows, config.batch_size):
             batch = order[start : start + config.batch_size]
@@ -338,7 +334,6 @@ def mlp_train(
                 vs += (1 - _ADAM_BETA2) * (g * g)
                 p -= lr_t * ms / (np.sqrt(vs) + _ADAM_EPS)
 
-        model.mode = "eval"
         with np.errstate(over="ignore", invalid="ignore"):
             train_probs, _ = _forward(model, train.matrix, train=False, rng=None)
             val_probs, _ = _forward(model, val.matrix, train=False, rng=None)

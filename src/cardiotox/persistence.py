@@ -58,8 +58,8 @@ BUNDLE_TYPES = {
     "pipeline": ToxTreePipeline,
 }
 _TAGS = {cls: tag for tag, cls in BUNDLE_TYPES.items()}
-# Left out: the training alphas are a diagnostic, and a loaded MLP is always in "eval" mode.
-_NOT_STORED = {SvmModel: "alphas", MlpModel: "mode"}
+# Left out: the training alphas are a diagnostic.
+_NOT_STORED = {SvmModel: "alphas"}
 _STORED_FIELDS = {
     cls: frozenset(f.name for f in dataclasses.fields(cls) if f.name != _NOT_STORED.get(cls))
     for cls in BUNDLE_TYPES.values()

@@ -17,9 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .dataset import (
-    BINARY_CLASS_NAMES,
     CUTOFFS,
-    MULTICLASS_NAMES,
     FoldPlan,
     LabeledDataset,
     PotencyClass,
@@ -340,15 +338,22 @@ def svm_space() -> list[SvmConfig]:
 
 @dataclass
 class ConfigResult:
+    """One configuration's cross-validation scores, one entry per scored fold."""
+
     config: ForestConfig | SvmConfig
-    ac_cv: float
-    f1_cv: float
-    binary_ac_cv: float | None = None
+    fold_ac: list[float] = field(default_factory=list)
+    fold_f1: list[float] = field(default_factory=list)
     observed_max_depth: int | None = None
     # SVMs: whether every fold's fit converged. None for forests.
     converged: bool | None = None
-    fold_ac: list[float] = field(default_factory=list)
-    fold_f1: list[float] = field(default_factory=list)
+
+    @property
+    def ac_cv(self) -> float:
+        return cv_estimate(self.fold_ac)
+
+    @property
+    def f1_cv(self) -> float:
+        return cv_estimate(self.fold_f1)
 
     def describe(self) -> str:
         return self.config.describe()
@@ -359,20 +364,10 @@ class TuningResult:
     results: list[ConfigResult]
     ranked: list[ConfigResult]
     fold_warnings: list[str] = field(default_factory=list)
-    class_distribution: tuple[int, ...] = ()
 
     @property
     def best(self) -> ConfigResult:
         return self.ranked[0]
-
-
-def _binary_view(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray] | None:
-    """(truth_is_blocker, derived-from) masks for F1/binary accuracy."""
-    if dataset.class_names == BINARY_CLASS_NAMES:
-        return dataset.labels == 0, np.array([0])
-    if dataset.class_names == MULTICLASS_NAMES:
-        return dataset.labels <= 2, np.array([0, 1, 2])
-    return None
 
 
 def fit_config(config: ForestConfig | SvmConfig, dataset: LabeledDataset, seed: int,
@@ -412,8 +407,9 @@ def tune_grid(
     seed: int = 0,
     plan: ResamplePlan | None = None,
 ) -> TuningResult:
-    """Stratified k-fold CV over every configuration, resampling only the
-    training side of each fold.
+    """Stratified k-fold CV over every configuration of a two-class stage
+    dataset (class 0 is the blocker), resampling only the training side of
+    each fold.
 
     Each fold is resampled once and shared by every configuration. Forest
     configurations are scored on prefixes of one forest per (fold, max_depth),
@@ -421,25 +417,18 @@ def tune_grid(
 
     Rankings put every configuration whose fit failed to converge in some
     fold (``converged`` False; SVMs only) after all the others, then order
-    by AC_cv, then F1_cv, then the smaller model (fewer estimators / smaller
-    C). An unconverged configuration is thus picked only when no
-    configuration converged. AC_cv is the dataset's native accuracy
-    (multiclass when labels are multiclass); F1 and binary accuracy are
-    derived at the blocker boundary where the class layout defines one.
+    by AC_cv, then F1_cv (blocker as the positive class), then the smaller
+    model (fewer estimators / smaller C). An unconverged configuration is
+    thus picked only when no configuration converged.
     """
     if not space:
         raise InvalidInputError("hyperparameter space must be non-empty")
+    if len(dataset.class_names) != 2:
+        raise InvalidInputError(f"tuning needs a two-class dataset, got {len(dataset.class_names)} classes")
     plan = plan or ResamplePlan()
-    if plan.strategy is not Strategy.ORIGINAL and len(dataset.class_names) != 2:
-        raise InvalidInputError("resampling plans apply to binary datasets only")
     folds: FoldPlan = stratified_kfold(dataset, k, seed)
-    binary = _binary_view(dataset)
 
-    fold_ac: list[list[float]] = [[] for _ in space]
-    fold_f1: list[list[float]] = [[] for _ in space]
-    fold_bin_ac: list[list[float]] = [[] for _ in space]
-    depths: list[int | None] = [None] * len(space)
-    converged: list[bool | None] = [None] * len(space)
+    results = [ConfigResult(config) for config in space]
     for fold_idx, (train_idx, val_idx) in enumerate(folds.iter_train_val()):
         if len(val_idx) == 0:  # possible when k exceeds the row count
             continue
@@ -453,52 +442,25 @@ def tune_grid(
         prefix_depths = {
             depth: np.maximum.accumulate([tree.depth() for tree in forest.trees]) for depth, forest in forests.items()
         }
-        for c, config in enumerate(space):
+        for res in results:
+            config = res.config
             if isinstance(config, ForestConfig):
                 full = forests[config.max_depth]
                 model = replace(full, trees=full.trees[: config.n_estimators], n_estimators=config.n_estimators)
-                depths[c] = max(depths[c] or 0, int(prefix_depths[config.max_depth][config.n_estimators - 1]))
+                depth = int(prefix_depths[config.max_depth][config.n_estimators - 1])
+                res.observed_max_depth = max(res.observed_max_depth or 0, depth)
                 preds = forest_predict_many(model, val_ds.matrix)
             else:
                 model = fit_config(config, train_ds, seed)
                 preds = np.where(svm_decision_many(model, val_ds.matrix) >= 0.0, 0, 1)
-                converged[c] = model.converged and converged[c] is not False
-            fold_ac[c].append(float(np.mean(preds == val_ds.labels)))
-            if binary is not None:
-                blocker_truth = binary[0][val_idx]
-                blocker_pred = np.isin(preds, binary[1])
-                counts = confusion_from_labels(blocker_truth, blocker_pred, True)
-                if counts.total:
-                    m = binary_metrics(counts)
-                    fold_f1[c].append(m.f1)
-                    fold_bin_ac[c].append(m.ac)
-
-    multiclass = len(dataset.class_names) != 2
-    results = [
-        ConfigResult(
-            config=config,
-            ac_cv=cv_estimate(fold_ac[c]),
-            f1_cv=cv_estimate(fold_f1[c]) if fold_f1[c] else float("nan"),
-            binary_ac_cv=cv_estimate(fold_bin_ac[c]) if fold_bin_ac[c] and multiclass else None,
-            observed_max_depth=depths[c],
-            converged=converged[c],
-            fold_ac=fold_ac[c],
-            fold_f1=fold_f1[c],
-        )
-        for c, config in enumerate(space)
-    ]
+                res.converged = model.converged and res.converged is not False
+            res.fold_ac.append(float(np.mean(preds == val_ds.labels)))
+            counts = confusion_from_labels(val_ds.labels == 0, preds == 0, True)
+            res.fold_f1.append(binary_metrics(counts).f1)
 
     def rank_key(item: tuple[int, ConfigResult]):
         idx, r = item
-        f1 = r.f1_cv if not math.isnan(r.f1_cv) else -1.0
-        return (r.converged is False, -r.ac_cv, -f1, r.config.size_key(), idx)
+        return (r.converged is False, -r.ac_cv, -r.f1_cv, r.config.size_key(), idx)
 
     ranked = [r for _, r in sorted(enumerate(results), key=rank_key)]
-    counts = dataset.class_counts()
-    if plan.strategy is Strategy.OVER_SAMPLE and len(counts) == 2:
-        distribution = (max(counts), max(counts))
-    elif plan.strategy is Strategy.UNDER_SAMPLE and len(counts) == 2:
-        distribution = (min(counts), min(counts))
-    else:
-        distribution = counts
-    return TuningResult(results, ranked, folds.warnings, distribution)
+    return TuningResult(results, ranked, folds.warnings)

@@ -272,6 +272,31 @@ class TestTrain:
         assert f"error: config {key}: invalid choice '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "herg-toxtree.toxtree.json").exists()
 
+    def test_unknown_config_key_exits_1(self, trained, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("grid=quick\nfold=3\n")
+        code = main(["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                     "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: config line 2: unknown key 'fold'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "herg-toxtree.toxtree.json").exists()
+
+    @pytest.mark.parametrize("resample", ["original", "over", "under"])
+    def test_cv_report_counts_the_resampled_stage_set(self, trained, tmp_path, resample):
+        out = tmp_path / "o"
+        code = main(["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                     "--grid", "quick", "--folds", "2", "--resample", resample, "--out", str(out)])
+        assert code == 0
+        with open(out / "cv_report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        pic50 = np.asarray(trained["pic50"])
+        for row in rows:
+            blk = int(np.sum(pic50 >= float(row["threshold"])))
+            raw = (blk, len(pic50) - blk)
+            expected = {"original": raw, "over": (max(raw),) * 2, "under": (min(raw),) * 2}[resample]
+            assert (int(row["blk"]), int(row["nblk"])) == expected
+        assert {r["threshold"] for r in rows} == {"6", "5", "4.5"}
+
     def test_config_file_reread_by_each_call(self, trained, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         argv = ["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
@@ -328,6 +353,7 @@ class TestTrain:
         "flag, value, message",
         [
             ("folds", "1", "--folds must be at least 2, got 1"),
+            ("seed", "-1", "--seed must be at least 0, got -1"),
             ("pca-energy", "1.5", "--pca-energy must be in (0, 1], got 1.5"),
             ("pca-energy", "nan", "--pca-energy must be in (0, 1], got nan"),
             ("pca-energy", "0", "--pca-energy must be in (0, 1], got 0.0"),
@@ -444,6 +470,19 @@ class TestPredict:
         with open(out / "predictions.csv") as fh:
             rows = [(r["compound_key"], r["outcome"]) for r in csv.DictReader(fh)]
         assert rows == [("a", "strong-blocker"), ("a", "non-blocker"), ("b", "moderate-blocker")]
+
+    @pytest.mark.parametrize("broken", ["bundle-is-a-directory", "out-is-a-file"])
+    def test_file_system_error_exits_2(self, trained, tmp_path, capsys, broken):
+        bundle, out = trained["bundle"], tmp_path / "o"
+        if broken == "bundle-is-a-directory":
+            bundle = tmp_path
+        else:
+            out.write_text("not a directory\n")
+        code = main(["predict", "--bundle", str(bundle), "--descriptors", str(trained["descriptors"]),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_empty_descriptor_file(self, trained, tmp_path):
         desc = tmp_path / "empty.csv"

@@ -154,7 +154,7 @@ class TestRoundTrips:
         ]
         by_class = {type(obj): obj for obj in objects}
         assert set(by_class) == set(BUNDLE_TYPES.values())
-        not_stored = {SvmModel: {"alphas"}, MlpModel: {"mode"}}
+        not_stored = {SvmModel: {"alphas"}}
         for tag, cls in BUNDLE_TYPES.items():
             text, restored = roundtrip(by_class[cls])
             payload = json.loads(text)["payload"]

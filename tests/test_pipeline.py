@@ -315,31 +315,17 @@ class TestTuneGrid:
         assert [r.config for r in a.ranked] == [r.config for r in b.ranked]
         assert [r.ac_cv for r in a.ranked] == [r.ac_cv for r in b.ranked]
 
-    def test_oversampling_reported_distribution(self, rng):
-        x, y = make_blobs(rng, [[0, 0], [4, 4]], 10)
-        dataset = labeled(np.vstack([x, x[y == 1]]), np.concatenate([y, np.ones(10, dtype=int)]),
-                          ("blocker", "non-blocker"))
-        plan = ResamplePlan(Strategy.OVER_SAMPLE, seed=2)
-        result = tune_grid([ForestConfig(5)], dataset, k=2, seed=0, plan=plan)
-        assert result.class_distribution == (20, 20)
-
     def test_svm_configs_tune(self, rng):
         dataset = self.binary_blobs(rng, per_class=20)
         result = tune_grid([SvmConfig("linear", 1.0), SvmConfig("rbf", 1.0)], dataset, k=2, seed=0)
         assert result.best.ac_cv >= 0.9
 
-    def test_multiclass_reports_binary_view(self, rng):
-        x, y = make_blobs(rng, [[0, 0], [4, 0], [0, 4], [4, 4]], 15)
-        dataset = labeled(x, y, ("strong", "moderate", "weak", "non"))
-        result = tune_grid([ForestConfig(10)], dataset, k=3, seed=0)
-        assert result.best.binary_ac_cv is not None
-        assert not np.isnan(result.best.f1_cv)
-
-    def test_resampling_multiclass_rejected(self, rng):
+    @pytest.mark.parametrize("plan", [None, ResamplePlan(Strategy.OVER_SAMPLE)], ids=["no-plan", "over-sample"])
+    def test_three_class_dataset_rejected(self, rng, plan):
         x, y = make_blobs(rng, [[0, 0], [4, 0], [0, 4]], 10)
         dataset = labeled(x, y, ("a", "b", "c"))
-        with pytest.raises(InvalidInputError):
-            tune_grid([ForestConfig(5)], dataset, k=2, seed=0, plan=ResamplePlan(Strategy.OVER_SAMPLE))
+        with pytest.raises(InvalidInputError, match="two-class"):
+            tune_grid([ForestConfig(5)], dataset, k=2, seed=0, plan=plan)
 
     @pytest.mark.parametrize("strategy", [Strategy.ORIGINAL, Strategy.OVER_SAMPLE])
     def test_forest_prefixes_match_independent_fits(self, rng, monkeypatch, strategy):
