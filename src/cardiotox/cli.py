@@ -1,8 +1,8 @@
 """Batch command-line front end: curate -> train -> predict / evaluate.
 
-Every command is deterministic given its inputs and --seed (bundles embed a
-fixed created-at constant and a content fingerprint instead of wall-clock
-data). Exit codes: 0 success, 1 usage/config error, 2 data error,
+Every command is deterministic given its inputs and train's --seed (bundles
+embed a fixed created-at constant and a content fingerprint instead of
+wall-clock data). Exit codes: 0 success, 1 usage/config error, 2 data error,
 3 numerical failure.
 """
 
@@ -13,6 +13,7 @@ import csv
 import hashlib
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,22 +46,51 @@ from .pipeline import (
 )
 from .resample import ResamplePlan, Strategy, balance
 
-DEFAULT_SEED = 1729
-DEFAULT_THRESHOLDS = ds.CUTOFFS
 _CUTOFF_TEXT = ", ".join(f"{t:g}" for t in ds.CUTOFFS)
 
 _STRATEGY_SUFFIX = {Strategy.ORIGINAL: "", Strategy.OVER_SAMPLE: "-ovrs", Strategy.UNDER_SAMPLE: "-unds"}
 
-# Default per-stage sampling when --resample is not given: the architectures
-# that won the published grid searches. The hERG weak stage is a consensus of
-# the original and over-sampled forests.
-_HERG_DEFAULT_SAMPLING = dict(zip(ds.CUTOFFS, (Strategy.OVER_SAMPLE, Strategy.OVER_SAMPLE, "consensus")))
-_NAV_DEFAULT_SAMPLING = dict(zip(ds.CUTOFFS, (Strategy.ORIGINAL, Strategy.OVER_SAMPLE, Strategy.ORIGINAL)))
+
+@dataclass(frozen=True)
+class _Target:
+    """One target's ToxTree architecture."""
+
+    family: str  # stage model: "rf" (random forest) or "svm"; also the stage-name infix
+    grids: dict[str, list]  # --grid name -> tuning space
+    sampling: dict[float, tuple[Strategy, ...]]  # per cut-off when --resample is not given; two make a consensus pair
+    pca: bool  # PCA (--pca-energy) follows the scaler
+
+
+# The architectures that won the published grid searches. The hERG weak stage
+# is a consensus of the original and over-sampled forests.
+_ORIG, _OVER = (Strategy.ORIGINAL,), (Strategy.OVER_SAMPLE,)
+_TARGETS = {
+    "herg": _Target("rf", {"paper": herg_rf_space(), "quick": [ForestConfig(10), ForestConfig(30)]},
+                    dict(zip(ds.CUTOFFS, (_OVER, _OVER, _ORIG + _OVER))), pca=False),
+    "nav15": _Target("svm", {"paper": svm_space(),
+                             "quick": [SvmConfig("linear", 1.0), SvmConfig("rbf", 1.0), SvmConfig("rbf", 10.0)]},
+                     dict(zip(ds.CUTOFFS, (_ORIG, _OVER, _ORIG))), pca=True),
+}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
+
+
+def _parse_thresholds(text: str) -> tuple[float, ...]:
+    """The --thresholds type: a strictly descending subset of the cut-offs."""
+    try:
+        values = tuple(float(t) for t in text.split(",") if t.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not values:
+        raise argparse.ArgumentTypeError("no thresholds given")
+    if any(v not in ds.CUTOFFS for v in values):
+        raise argparse.ArgumentTypeError(f"thresholds must come from {{{_CUTOFF_TEXT}}}")
+    if list(values) != sorted(values, reverse=True) or len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError("thresholds must be strictly descending")
+    return values
 
 
 def _build_parser() -> _Parser:
@@ -69,32 +99,37 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value file; explicit flags override it")
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
-        p.add_argument("--out", default=None, help="output directory (default .)")
+        p.add_argument("--out", default=".", help="output directory, made when the first output is written "
+                       "(default %(default)s)")
 
     p = sub.add_parser("curate", help="deduplicate activities and emit PIC50 compounds")
     add_common(p)
     p.add_argument("--activities", required=True, help="activity CSV path")
-    p.add_argument("--cell-preference", default=None, help="comma list, most preferred first")
+    p.add_argument("--cell-preference", default=",".join(ds.DEFAULT_CELL_PREFERENCE),
+                   help="comma list, most preferred first (default %(default)s)")
     p.add_argument("--key-overrides", default=None, help="raw_key<TAB>canonical_key file")
 
     p = sub.add_parser("train", help="tune, fit, and bundle a ToxTree pipeline")
     add_common(p)
-    p.add_argument("--threads", type=int, default=None, help="forest worker threads (default 1)")
+    p.add_argument("--seed", type=int, default=1729, help="RNG seed, at least 0 (default %(default)s)")
+    p.add_argument("--threads", type=int, default=1, help="forest worker threads (default %(default)s)")
     p.add_argument("--descriptors", required=True)
     p.add_argument("--compounds", required=True)
-    p.add_argument("--target", choices=("herg", "nav15"), default=None)
-    p.add_argument("--thresholds", default=None, help=f"descending subset of {_CUTOFF_TEXT}")
+    p.add_argument("--target", choices=tuple(_TARGETS), default="herg",
+                   help="architecture to build (default %(default)s)")
+    p.add_argument("--thresholds", type=_parse_thresholds, default=_CUTOFF_TEXT,
+                   help="descending subset of %(default)s (default all)")
     p.add_argument(
         "--resample",
-        choices=("original", "over", "under"),
+        choices=tuple(s.value for s in Strategy),
         default=None,
         help="force one sampling strategy for every stage (default: per-target architecture)",
     )
     p.add_argument("--whitelist", default=None, help="feature whitelist file")
-    p.add_argument("--folds", type=int, default=None, help="CV folds for tuning (default 10)")
-    p.add_argument("--grid", choices=("paper", "quick"), default=None, help="hyperparameter space")
-    p.add_argument("--pca-energy", type=float, default=None, help="nav15 energy rule (default 0.9)")
+    p.add_argument("--folds", type=int, default=10, help="CV folds for tuning (default %(default)s)")
+    p.add_argument("--grid", choices=("paper", "quick"), default="paper",
+                   help="hyperparameter space (default %(default)s)")
+    p.add_argument("--pca-energy", type=float, default=0.9, help="nav15 energy rule (default %(default)s)")
 
     p = sub.add_parser("predict", help="classify descriptor rows with a trained bundle")
     add_common(p)
@@ -107,12 +142,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--descriptors", required=True)
     p.add_argument("--compounds", required=True)
 
-    # Config-file values bypass argparse, so each command keeps its flags' choices to check them against.
-    for p in sub.choices.values():
-        p.set_defaults(flag_choices={a.dest: a.choices for a in p._actions if a.choices})
-    # A config file may serve several commands, so it may set any command's flag, and nothing else.
-    parser.config_keys = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
-    parser.config_keys -= {"help", "config"}
+    parser.commands = sub.choices
     return parser
 
 
@@ -136,40 +166,36 @@ def _load_config_file(path: str, known_keys: set[str]) -> dict[str, str]:
     return values
 
 
-def _merged(args: argparse.Namespace, key: str, default, convert=None):
-    value = getattr(args, key, None)
-    if value is None:
-        raw = args.config_values.get(key)
-        if raw is not None:
-            choices = getattr(args, "flag_choices", {}).get(key)
-            if choices is not None and raw not in choices:
-                raise UsageError(f"config {key}: invalid choice {raw!r} (choose from {', '.join(choices)})")
-            value = raw
-    if value is None:
-        return default
-    if convert is not None and isinstance(value, str):
-        try:
-            value = convert(value)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for {key}: {value!r} ({exc})") from exc
-    return value
+def _parse_with_config(parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv; a --config file's values become defaults of the running
+    command's own flags, so argparse converts them and explicit flags win."""
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    # A config file may serve several commands, so it may set any command's flag, and nothing else.
+    known = {a.dest for p in parser.commands.values() for a in p._actions if a.option_strings} - {"help", "config"}
+    # Read once per call, so a later call in this process sees later edits.
+    values = _load_config_file(args.config, known)
+    command = parser.commands[args.command]
+    own = {a.dest: a for a in command._actions if a.dest in values}
+    command.set_defaults(**{key: values[key] for key in own})
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:  # argv parsed once already, so a config value failed its flag's type
+        raise UsageError(f"config {exc}") from None
+    # argparse checks choices for flags only, so a config value that no flag overrode is checked here.
+    for key, action in own.items():
+        if action.choices is not None and getattr(args, key) not in action.choices:
+            choices = ", ".join(action.choices)
+            raise UsageError(f"config {key}: invalid choice {values[key]!r} (choose from {choices})")
+    return args
 
 
-def _parse_thresholds(text: str) -> tuple[float, ...]:
-    values = tuple(float(t) for t in text.split(",") if t.strip())
-    if not values:
-        raise ValueError("no thresholds given")
-    if any(v not in ds.CUTOFFS for v in values):
-        raise ValueError(f"thresholds must come from {{{_CUTOFF_TEXT}}}")
-    if list(values) != sorted(values, reverse=True) or len(set(values)) != len(values):
-        raise ValueError("thresholds must be strictly descending")
-    return values
-
-
-def _out_dir(args) -> Path:
-    out = Path(_merged(args, "out", "."))
+def _output(args, name: str) -> Path:
+    """The path of one output file, making the --out directory on first use."""
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out / name
 
 
 def _file_fingerprint(*paths: str) -> str:
@@ -180,21 +206,18 @@ def _file_fingerprint(*paths: str) -> str:
 
 
 def cmd_curate(args) -> int:
-    out = _out_dir(args)
-    prefs = _merged(args, "cell_preference", ",".join(ds.DEFAULT_CELL_PREFERENCE))
-    cell_preference = [p.strip() for p in prefs.split(",") if p.strip()]
-    overrides = None
-    overrides_path = _merged(args, "key_overrides", None)
-    if overrides_path:
-        overrides = ds.load_key_overrides(overrides_path)
+    cell_preference = [p.strip() for p in args.cell_preference.split(",") if p.strip()]
+    overrides = ds.load_key_overrides(args.key_overrides) if args.key_overrides else None
     records = ds.parse_activity_csv(args.activities)
     compounds, report = ds.resolve_duplicates(records, cell_preference, overrides)
-    ds.write_compounds_csv(compounds, out / "compounds.csv")
-    (out / "curation_report.txt").write_text(report.to_text(), encoding="utf-8")
+    compounds_path = _output(args, "compounds.csv")
+    ds.write_compounds_csv(compounds, compounds_path)
+    report_path = _output(args, "curation_report.txt")
+    report_path.write_text(report.to_text(), encoding="utf-8")
     kept = sum(1 for e in report.entries if e.action in ("kept", "merged"))
     dropped = len(report.entries) - kept
     print(f"curated {len(records)} records into {len(compounds)} compounds ({dropped} keys discarded)")
-    print(f"wrote {out / 'compounds.csv'} and {out / 'curation_report.txt'}")
+    print(f"wrote {compounds_path} and {report_path}")
     return 0
 
 
@@ -233,17 +256,6 @@ def _stage_name(threshold: float, family: str, strategy: Strategy) -> str:
     return f"{prefix}{family}{_STRATEGY_SUFFIX[strategy]}"
 
 
-def _grid_for(args, target: str) -> list:
-    grid = _merged(args, "grid", "paper")
-    if target == "herg":
-        if grid == "paper":
-            return herg_rf_space()
-        return [ForestConfig(10), ForestConfig(30)]
-    if grid == "paper":
-        return svm_space()
-    return [SvmConfig("linear", 1.0), SvmConfig("rbf", 1.0), SvmConfig("rbf", 10.0)]
-
-
 def _cv_report_rows(threshold, name, strategy, class_counts, tuning):
     rows = []
     for res in tuning.ranked:
@@ -251,7 +263,7 @@ def _cv_report_rows(threshold, name, strategy, class_counts, tuning):
         row = {
             "threshold": f"{threshold:g}",
             "stage": name,
-            "sampling": strategy.value if isinstance(strategy, Strategy) else strategy,
+            "sampling": strategy.value,
             "blk": class_counts[0],
             "nblk": class_counts[1],
             "ac_cv": mx.format_percent(res.ac_cv),
@@ -269,28 +281,19 @@ def _cv_report_rows(threshold, name, strategy, class_counts, tuning):
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
-    seed = _merged(args, "seed", DEFAULT_SEED, int)
-    if seed < 0:
-        raise UsageError(f"--seed must be at least 0, got {seed}")
-    threads = _merged(args, "threads", 1, int)
-    if threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {threads}")
-    target = _merged(args, "target", "herg")
-    space = _grid_for(args, target)
-    thresholds = _merged(args, "thresholds", DEFAULT_THRESHOLDS, _parse_thresholds)
-    folds = _merged(args, "folds", 10, int)
-    if folds < 2:
-        raise UsageError(f"--folds must be at least 2, got {folds}")
-    resample_flag = _merged(args, "resample", None)
-    pca_energy = _merged(args, "pca_energy", 0.90, float)
-    if not 0.0 < pca_energy <= 1.0:  # NaN fails too
-        raise UsageError(f"--pca-energy must be in (0, 1], got {pca_energy}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    if args.folds < 2:
+        raise UsageError(f"--folds must be at least 2, got {args.folds}")
+    if not 0.0 < args.pca_energy <= 1.0:  # NaN fails too
+        raise UsageError(f"--pca-energy must be in (0, 1], got {args.pca_energy}")
+    target = _TARGETS[args.target]
 
     table = ds.parse_descriptor_csv(args.descriptors)
     compounds = ds.parse_compounds_csv(args.compounds)
-    whitelist_path = _merged(args, "whitelist", None)
-    whitelist = feat.load_feature_whitelist(whitelist_path) if whitelist_path else list(table.feature_names)
+    whitelist = feat.load_feature_whitelist(args.whitelist) if args.whitelist else list(table.feature_names)
     table = _impute_missing(table.select(whitelist))
 
     keys, matrix, pic50, aligned = _aligned_data(table, compounds, require_exact=False)
@@ -301,42 +304,33 @@ def cmd_train(args) -> int:
             file=sys.stderr,
         )
 
-    chain, processed = PreprocessChain.fit(matrix, whitelist, pca_energy if target == "nav15" else None)
+    chain, processed = PreprocessChain.fit(matrix, whitelist, args.pca_energy if target.pca else None)
     if chain.pca is not None:
         print(f"PCA keeps {chain.pca.n_components} components ({chain.pca.energy_captured:.4f} energy)")
 
-    family = "rf" if target == "herg" else "svm"
-    default_sampling = _HERG_DEFAULT_SAMPLING if target == "herg" else _NAV_DEFAULT_SAMPLING
-
     report_rows = []
     stage_objs = []
-    for threshold in thresholds:
+    for threshold in args.thresholds:
         stage_ds = ds.binarize(aligned, threshold, processed)
         counts = stage_ds.class_counts()
         if 0 in counts:
             raise InvalidInputError(
                 f"threshold {threshold:g} leaves an empty class (blk {counts[0]}, nblk {counts[1]})"
             )
-        if resample_flag is not None:
-            strategies = [Strategy(resample_flag)]
-        else:
-            configured = default_sampling[threshold]
-            strategies = (
-                [Strategy.ORIGINAL, Strategy.OVER_SAMPLE] if configured == "consensus" else [configured]
-            )
+        strategies = (Strategy(args.resample),) if args.resample else target.sampling[threshold]
 
         members = []
         for strategy in strategies:
-            plan = ResamplePlan(strategy, seed=seed + int(threshold * 10))
+            plan = ResamplePlan(strategy, seed=args.seed + int(threshold * 10))
             train_ds = balance(stage_ds, plan)
-            tuning = tune_grid(space, stage_ds, k=folds, seed=seed, plan=plan)
+            tuning = tune_grid(target.grids[args.grid], stage_ds, k=args.folds, seed=args.seed, plan=plan)
             best = tuning.best.config
-            name = _stage_name(threshold, family, strategy)
+            name = _stage_name(threshold, target.family, strategy)
             for warning in tuning.fold_warnings:
                 print(f"note: stage {name}: {warning}", file=sys.stderr)
             report_rows.extend(_cv_report_rows(threshold, name, strategy, train_ds.class_counts(), tuning))
-            model = fit_config(best, train_ds, seed, threads)
-            if family == "svm" and not model.converged:
+            model = fit_config(best, train_ds, args.seed, args.threads)
+            if not getattr(model, "converged", True):
                 print(f"warning: stage {name} SVM {best.describe()} did not converge "
                       "within the update cap", file=sys.stderr)
             members.append(SubModel(name, threshold, model))
@@ -346,16 +340,16 @@ def cmd_train(args) -> int:
 
     pipeline = ToxTreePipeline(chain, stage_objs)
 
-    bundle_path = out / f"{target}-toxtree{persistence.BUNDLE_EXTENSION}"
+    bundle_path = _output(args, f"{args.target}-toxtree{persistence.BUNDLE_EXTENSION}")
     persistence.save_bundle(
         pipeline,
         bundle_path,
-        seed=seed,
+        seed=args.seed,
         fingerprint=_file_fingerprint(args.descriptors, args.compounds),
-        hyperparameters={"target": target, "folds": folds, "grid": _merged(args, "grid", "paper")},
+        hyperparameters={"target": args.target, "folds": args.folds, "grid": args.grid},
     )
 
-    report_path = out / "cv_report.csv"
+    report_path = _output(args, "cv_report.csv")
     fieldnames = [
         "threshold", "stage", "sampling", "blk", "nblk", "ac_cv", "f1_cv",
         "config", "n_estimators", "max_depth", "kernel", "C", "degree", "converged",
@@ -390,11 +384,10 @@ def _whitelist_rows(pipeline: ToxTreePipeline, table: ds.DescriptorTable) -> np.
 
 
 def cmd_predict(args) -> int:
-    out = _out_dir(args)
     pipeline = _load_pipeline(args.bundle)
     table = ds.parse_descriptor_csv(args.descriptors)
     rows = _whitelist_rows(pipeline, table)
-    path = out / "predictions.csv"
+    path = _output(args, "predictions.csv")
     errors = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -413,7 +406,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     pipeline = _load_pipeline(args.bundle)
     table = ds.parse_descriptor_csv(args.descriptors)
     compounds = ds.parse_compounds_csv(args.compounds)
@@ -457,25 +449,25 @@ def cmd_evaluate(args) -> int:
         text_lines.append(name.ljust(name_width) + cells)
     text = "\n".join(text_lines) + "\n"
 
-    (out / "metrics.txt").write_text(text, encoding="utf-8")
+    text_path = _output(args, "metrics.txt")
+    text_path.write_text(text, encoding="utf-8")
     csv_lines = ["threshold,AC,CCR,MCC,SN,SP,F1,TP,FN,TN,FP"]
     for (label, counts), m in zip(named_counts, scores):
         percents = ",".join(mx.format_percent(v) for v in (m.ac, m.ccr, m.mcc, m.sn, m.sp, m.f1))
         csv_lines.append(f"{label},{percents},{counts.tp},{counts.fn},{counts.tn},{counts.fp}")
     csv_lines.append(f"multiclass,{mx.format_percent(q_multi)},,,,,,,,,")
-    (out / "metrics.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    csv_path = _output(args, "metrics.csv")
+    csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
     print(text, end="")
-    print(f"wrote {out / 'metrics.txt'} and {out / 'metrics.csv'}")
+    print(f"wrote {text_path} and {csv_path}")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        # Read once per call, so a later call in this process sees later edits.
-        args.config_values = _load_config_file(args.config, parser.config_keys) if args.config else {}
+        args = _parse_with_config(parser, argv)
         handler = {
             "curate": cmd_curate,
             "train": cmd_train,

@@ -58,11 +58,9 @@ def smote(minority: np.ndarray, n_synthetic: int, k: int, seed: int) -> np.ndarr
     if n_synthetic == 0:
         return np.empty((0, minority.shape[1]))
 
-    dist = _pairwise_distances(minority, minority)
-    neighbors = np.empty((m, k), dtype=int)
-    for i in range(m):
-        order = np.argsort(dist[i], kind="stable")
-        neighbors[i] = order[order != i][:k]
+    # Each row's nearest others, ties to the lower index; a row is never its own neighbor.
+    order = np.argsort(_pairwise_distances(minority, minority), axis=1, kind="stable")
+    neighbors = order[order != np.arange(m)[:, None]].reshape(m, m - 1)[:, :k]
 
     rng = np.random.default_rng(seed)
     out = np.empty((n_synthetic, minority.shape[1]))

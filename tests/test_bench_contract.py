@@ -7,6 +7,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+from cardiotox import cli
 from cardiotox.learners import forest_fit
 
 from conftest import labeled, make_blobs
@@ -39,3 +42,18 @@ def test_recorder_reads_fitted_forest(rng, tmp_path):
     assert counts["forest.trees"] == 3
     assert counts["forest.max_depth"] == forest.observed_max_depth()
     assert isinstance(forest.observed_max_depth(), int) and 1 <= forest.observed_max_depth() <= 4
+
+
+# The command lines perfbench/run.py's Bench.one_pass runs, copied as literals.
+BENCH_ARGVS = [
+    *(["train", "--target", target, "--grid", "quick", "--folds", "3", "--threads", "1",
+       "--descriptors", "D", "--compounds", "C", "--out", "O"] for target in ("herg", "nav15")),
+    ["predict", "--bundle", "B", "--descriptors", "D", "--out", "O"],
+    ["evaluate", "--bundle", "B", "--descriptors", "D", "--compounds", "C", "--out", "O"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCH_ARGVS, ids=["train-herg", "train-nav15", "predict", "evaluate"])
+def test_benchmark_command_lines_parse(argv):
+    args = cli._build_parser().parse_args(argv)
+    assert args.command == argv[0] and args.out == "O"

@@ -272,6 +272,19 @@ class TestTrain:
         assert f"error: config {key}: invalid choice '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "herg-toxtree.toxtree.json").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("folds = x", "config argument --folds: invalid int value: 'x'"),
+        ("thresholds = 6,7", "config argument --thresholds: thresholds must come from {6, 5, 4.5}"),
+    ])
+    def test_config_value_failing_its_flag_type_exits_1(self, trained, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{line}\n")
+        code = main(["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                     "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_exits_1(self, trained, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("grid=quick\nfold=3\n")
@@ -307,6 +320,30 @@ class TestTrain:
         config.write_text("folds=3\ngrid = quick\ntarget = mouse\n")
         assert main(argv) == 1
         assert "error: config target: invalid choice 'mouse'" in capsys.readouterr().err
+
+    def test_flag_overrides_invalid_config_value(self, trained, tmp_path):
+        # A config value that a flag overrides is never read, so it is never checked either.
+        config = tmp_path / "run.cfg"
+        config.write_text("grid = full\n")
+        out = tmp_path / "o"
+        code = main(["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                     "--target", "herg", "--grid", "quick", "--folds", "3", "--seed", "11",
+                     "--config", str(config), "--out", str(out)])
+        assert code == 0
+        assert (out / "herg-toxtree.toxtree.json").read_bytes() == trained["bundle"].read_bytes()
+
+    @pytest.mark.parametrize("failure", ["seed-flag", "config-choice"])
+    def test_usage_error_leaves_no_out_directory(self, trained, tmp_path, capsys, failure):
+        out = tmp_path / "d"
+        argv = ["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                "--out", str(out)]
+        if failure == "seed-flag":
+            argv += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("grid = full\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 1
+        assert not out.exists()
 
     def test_duplicate_compound_key_exits_2(self, trained, tmp_path, capsys):
         compounds = tmp_path / "c.csv"
@@ -446,17 +483,27 @@ class TestPredict:
         assert hits / len(trained["keys"]) >= 0.95
         assert all(r["deciding_stage"] for r in rows.values())
 
-    @pytest.mark.parametrize("command", ["predict", "evaluate", "curate"])
-    def test_threads_flag_is_train_only(self, trained, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param("predict", "--threads", id="predict"),
+            pytest.param("evaluate", "--threads", id="evaluate"),
+            pytest.param("curate", "--threads", id="curate"),
+            pytest.param("predict", "--seed", id="predict-seed"),
+            pytest.param("evaluate", "--seed", id="evaluate-seed"),
+            pytest.param("curate", "--seed", id="curate-seed"),
+        ],
+    )
+    def test_threads_flag_is_train_only(self, trained, tmp_path, capsys, command, flag):
         inputs = {
             "predict": ["--bundle", str(trained["bundle"]), "--descriptors", str(trained["descriptors"])],
             "evaluate": ["--bundle", str(trained["bundle"]), "--descriptors", str(trained["descriptors"]),
                          "--compounds", str(trained["compounds"])],
             "curate": ["--activities", str(tmp_path / "unused.csv")],
         }[command]
-        code = main([command, *inputs, "--threads", "1", "--out", str(tmp_path)])
+        code = main([command, *inputs, flag, "1", "--out", str(tmp_path)])
         assert code == 1
-        assert "--threads" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_keys_keep_one_row_each(self, tmp_path):
@@ -483,6 +530,13 @@ class TestPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unreadable_bundle_leaves_no_out_directory(self, trained, tmp_path):
+        out = tmp_path / "d"
+        code = main(["predict", "--bundle", str(tmp_path), "--descriptors", str(trained["descriptors"]),
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_empty_descriptor_file(self, trained, tmp_path):
         desc = tmp_path / "empty.csv"
@@ -532,7 +586,7 @@ class TestPredict:
                      *extra, "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.count("no feature whitelist") == 1
-        assert not list((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_svm_decision_gives_error_row(self, tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardiotox.errors import InvalidInputError
-from cardiotox.resample import ResamplePlan, Strategy, balance, nearmiss, smote
+from cardiotox.resample import ResamplePlan, Strategy, _pairwise_distances, balance, nearmiss, smote
 
 from conftest import labeled
 
@@ -19,7 +21,42 @@ def on_segment(point, base, neighbor, tol=1e-9):
     return residual <= tol * (1.0 + np.linalg.norm(seg)) and -tol <= t <= 1.0 + tol
 
 
+def reference_smote(minority, n_synthetic, k, seed):
+    """smote with its neighbors found one row at a time, by the loop it once ran."""
+    m = minority.shape[0]
+    dist = _pairwise_distances(minority, minority)
+    neighbors = np.empty((m, k), dtype=int)
+    for i in range(m):
+        order = np.argsort(dist[i], kind="stable")
+        neighbors[i] = order[order != i][:k]
+    rng = np.random.default_rng(seed)
+    out = np.empty((n_synthetic, minority.shape[1]))
+    for t in range(n_synthetic):
+        i = t % m
+        nn = neighbors[i, rng.integers(k)]
+        u = rng.uniform()
+        out[t] = minority[i] + u * (minority[nn] - minority[i])
+    return out
+
+
+@st.composite
+def minority_with_repeats(draw):
+    """Rows drawn with repetition from a few small-integer rows, so equal rows and distance ties are common."""
+    d = draw(st.integers(1, 3))
+    distinct = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=40))
+    return np.array([distinct[i] for i in picks], dtype=float)
+
+
 class TestSmote:
+    @settings(max_examples=200, deadline=None)
+    @given(minority=minority_with_repeats(), data=st.data())
+    def test_matches_per_row_neighbor_search(self, minority, data):
+        k = data.draw(st.integers(1, minority.shape[0] - 1))
+        seed = data.draw(st.integers(0, 2**16))
+        got = smote(minority, 3 * minority.shape[0], k, seed)
+        assert np.array_equal(got, reference_smote(minority, 3 * minority.shape[0], k, seed))
+
     def test_two_point_segment(self):
         minority = np.array([[0.0, 0.0], [1.0, 1.0]])
         out = smote(minority, 5, k=1, seed=0)
