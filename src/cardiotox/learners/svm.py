@@ -77,10 +77,8 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
-    """K(a_i, b_j) for every row pair; ``b_sq`` is ``_sq_norms(b)`` when the
-    caller keeps it (the RBF kernel reads it)."""
-    if spec.gamma is None or spec.gamma <= 0:
-        raise InvalidInputError("kernel gamma must be resolved and positive")
+    """K(a_i, b_j) for every row pair under a resolved ``spec``; ``b_sq`` is
+    ``_sq_norms(b)`` when the caller keeps it (the RBF kernel reads it)."""
     if spec.kind == "linear":
         return a @ b.T
     if spec.kind == "poly":
@@ -106,6 +104,8 @@ class SvmModel:
     alphas: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.kernel.gamma is None or self.kernel.coef0 is None:
+            raise InvalidInputError("kernel gamma and coef0 must be resolved, as svm_fit stores them")
         self.support_vectors = np.asarray(self.support_vectors, dtype=float)
         self.dual_coefs = np.asarray(self.dual_coefs, dtype=float)
         if self.support_vectors.ndim != 2:

@@ -7,11 +7,15 @@ own constructor, so each class's checks validate what is loaded. Float
 arrays are stored as base64 little-endian float64 with their shape and float
 scalars as hex floats (lossless round trips); ints, strings, bools and None
 are plain JSON; integer arrays are JSON int lists, flat with their shape
-beyond one dimension. No class needs its own code: a ``Tree``, for one, is
-its preorder ``feature`` list, one cut per split and one value row per leaf,
-and its constructor derives and checks the children. A payload digest
-catches corruption. Saving is deterministic, and metadata rides along on
-loaded models so save(load(f)) reproduces f byte for byte.
+beyond one dimension. A 2-D float array is stored as row indices into one
+bundle-level table per row width, which holds each distinct row once (as
+LIBSVM's multi-class model stores the union of its support vectors), so SVM
+stages fitted to one set of rows share them. No class needs its own code: a
+``Tree``, for one, is its preorder ``feature`` list, one cut per split and
+one value row per leaf, and its constructor derives and checks the
+children. A digest over the payload and the row tables catches corruption.
+Saving is deterministic, and metadata rides along on loaded models so
+save(load(f)) reproduces f byte for byte.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .learners import BatchNormParams, ForestModel, KernelSpec, MlpModel, RidgeM
 from .pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 from .preprocess import PcaModel, ScalerParams
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 BUNDLE_EXTENSION = ".toxtree.json"
 DEFAULT_CREATED_AT = "1970-01-01T00:00:00Z"
 
@@ -70,10 +74,14 @@ _HINTS = {cls: typing.get_type_hints(cls) for cls in BUNDLE_TYPES.values()}
 _PLAIN = {int, str, bool, type(None)}
 
 
-def _encode(value) -> Any:
+def _encode(value, tables: dict[int, dict[bytes, int]]) -> Any:
+    """A payload value; each 2-D float array's rows go into ``tables``, one
+    {row bytes: index} table per width, keyed by exact bytes so -0.0 stays
+    apart from 0.0."""
     cls = type(value)
     if cls in _TAGS:
-        fields = {name: _encode(getattr(value, name)) for name in _STORED_FIELDS[cls]}
+        # Sorted, not set order: tables fill in this order, and set order follows the string hash.
+        fields = {name: _encode(getattr(value, name), tables) for name in sorted(_STORED_FIELDS[cls])}
         return {_TYPE_KEY: _TAGS[cls], **fields}
     if isinstance(value, np.ndarray):
         if value.dtype.kind in "iu":
@@ -81,9 +89,13 @@ def _encode(value) -> Any:
         value = np.asarray(value, dtype=float)
         if not np.all(np.isfinite(value)):
             raise BundleError("cannot serialize an array with non-finite values")
-        return {"shape": list(value.shape), "f64le": base64.b64encode(value.astype("<f8").tobytes()).decode()}
+        if value.ndim != 2:
+            return {"shape": list(value.shape), "f64le": base64.b64encode(value.astype("<f8").tobytes()).decode()}
+        table = tables.setdefault(value.shape[1], {})
+        rows = [table.setdefault(row.tobytes(), len(table)) for row in value.astype("<f8")]
+        return {"shape": list(value.shape), "rows": rows}
     if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+        return [_encode(v, tables) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
@@ -107,27 +119,73 @@ def _decode_real(obj: dict, where: str) -> float:
     return value
 
 
-def _decode_array(obj: dict, where: str) -> np.ndarray:
-    """A float array, or an integer one whose elements its owner checks."""
+def _shape(obj: dict, where: str) -> list[int]:
     shape = obj.get("shape")
     if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise BundleError(f"malformed array shape {shape!r} in {where}")
-    size = math.prod(shape)
-    if "ints" in obj:
-        ints = obj["ints"]
-        if not isinstance(ints, list) or len(ints) != size:
-            raise BundleError(f"integer array payload does not match its shape in {where}")
-        return np.fromiter(ints, dtype=object, count=size).reshape(shape)
+    return shape
+
+
+def _unpacked(obj: dict, shape: list[int], where: str) -> np.ndarray:
     try:
         raw = base64.b64decode(obj["f64le"], validate=True)
     except (TypeError, KeyError, ValueError) as exc:  # binascii.Error is a ValueError
         raise BundleError(f"malformed array payload in {where}: {exc}") from exc
-    if len(raw) != 8 * size:
+    if len(raw) != 8 * math.prod(shape):
         raise BundleError(f"array payload does not match its shape in {where}")
     arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise BundleError(f"non-finite value in array payload in {where}")
     return arr
+
+
+class _RowTables:
+    """A bundle's row tables by width, each decoded when an array first refers to it."""
+
+    def __init__(self, packed: dict):
+        self.packed = packed
+        self.decoded: dict[int, np.ndarray] = {}
+
+    def take(self, index, shape: list[int], where: str) -> np.ndarray:
+        if len(shape) != 2:
+            raise BundleError(f"row references need a 2-D shape, got {shape} in {where}")
+        if not isinstance(index, list) or len(index) != shape[0] or not set(map(type, index)) <= {int}:
+            raise BundleError(f"malformed row references in {where}: need {shape[0]} integer indices")
+        table = self._table(shape[1], where)
+        if index and not (min(index) >= 0 and max(index) < len(table)):
+            raise BundleError(f"row reference out of range in {where}: the table holds {len(table)} rows")
+        return table[index]
+
+    def _table(self, width: int, where: str) -> np.ndarray:
+        if width not in self.decoded:
+            packed = self.packed.get(str(width))
+            if not isinstance(packed, dict):
+                raise BundleError(f"no row table {width} wide for {where}")
+            at = f"the {width}-wide row table of {where}"
+            shape = _shape(packed, at)
+            if len(shape) != 2 or shape[1] != width:
+                raise BundleError(f"malformed array shape {shape!r} in {at}")
+            self.decoded[width] = _unpacked(packed, shape, at)
+        return self.decoded[width]
+
+    def check_all_used(self) -> None:
+        unused = self.packed.keys() - {str(width) for width in self.decoded}
+        if unused:
+            raise BundleError(f"row tables {sorted(unused)} are referenced by no array")
+
+
+def _decode_array(obj: dict, where: str, tables: _RowTables) -> np.ndarray:
+    """A float array, or an integer one whose elements its owner checks."""
+    shape = _shape(obj, where)
+    if "ints" in obj:
+        ints = obj["ints"]
+        size = math.prod(shape)
+        if not isinstance(ints, list) or len(ints) != size:
+            raise BundleError(f"integer array payload does not match its shape in {where}")
+        return np.fromiter(ints, dtype=object, count=size).reshape(shape)
+    if "rows" in obj:
+        return tables.take(obj["rows"], shape, where)
+    return _unpacked(obj, shape, where)
 
 
 def _fits(value, hint) -> bool:
@@ -145,27 +203,28 @@ def _fits(value, hint) -> bool:
     return False
 
 
-def _decode(obj, where: str) -> Any:
-    """Rebuild a payload value; ``where`` is the path of type tags above it."""
+def _decode(obj, where: str, tables: _RowTables) -> Any:
+    """Rebuild a payload value; ``where`` is the path of type tags above it,
+    then ``.field`` for a field's value."""
     if isinstance(obj, list):
         if set(map(type, obj)) <= _PLAIN:
             return obj
-        return [_decode(v, where) for v in obj]
+        return [_decode(v, where, tables) for v in obj]
     if isinstance(obj, float):
         raise BundleError(f"bare number {obj!r} in {where}; reals are stored as {{\"hex\": ...}}")
     if not isinstance(obj, dict):
         return obj
     if _TYPE_KEY not in obj:
-        return _decode_real(obj, where) if "hex" in obj else _decode_array(obj, where)
+        return _decode_real(obj, where) if "hex" in obj else _decode_array(obj, where, tables)
     tag = obj[_TYPE_KEY]
     cls = BUNDLE_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise BundleError(f"unknown bundle type {tag!r} in {where}")
-    where = f"{where}/{tag}"
+    where = f"{where.split('.')[0]}/{tag}"
     names = obj.keys() - {_TYPE_KEY}
     if names != _STORED_FIELDS[cls]:
         raise BundleError(f"malformed {where}: fields {sorted(names ^ _STORED_FIELDS[cls])} missing or unknown")
-    fields = {name: _decode(obj[name], where) for name in names}
+    fields = {name: _decode(obj[name], f"{where}.{name}", tables) for name in names}
     for name, value in fields.items():
         if not _fits(value, _HINTS[cls][name]):
             raise BundleError(f"malformed {where}: field {name!r} cannot hold a {type(value).__name__}")
@@ -188,8 +247,8 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _payload_digest(payload: dict) -> str:
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+def _payload_digest(payload: dict, rows: dict) -> str:
+    return hashlib.sha256(_canonical({"payload": payload, "rows": rows}).encode("utf-8")).hexdigest()
 
 
 def save_bundle(
@@ -216,12 +275,18 @@ def save_bundle(
         "fingerprint": fingerprint if fingerprint is not None else carried.get("fingerprint"),
         "hyperparameters": hyperparameters if hyperparameters is not None else carried.get("hyperparameters"),
     }
-    payload = _encode(model)
+    tables: dict[int, dict[bytes, int]] = {}
+    payload = _encode(model, tables)
+    rows = {
+        str(width): {"shape": [len(table), width], "f64le": base64.b64encode(b"".join(table)).decode()}
+        for width, table in tables.items()
+    }
     bundle = {
         "schema_version": SCHEMA_VERSION,
         "metadata": metadata,
         "payload": payload,
-        "payload_sha256": _payload_digest(payload),
+        "rows": rows,
+        "payload_sha256": _payload_digest(payload, rows),
     }
     try:
         text = _canonical(bundle)
@@ -246,15 +311,18 @@ def load_bundle(source) -> Any:
     version = bundle.get("schema_version")
     if version != SCHEMA_VERSION:
         raise BundleError(f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}")
-    for key in ("payload", "payload_sha256", "metadata"):
+    for key in ("payload", "rows", "payload_sha256", "metadata"):
         if key not in bundle:
             raise BundleError(f"bundle is missing the {key!r} field")
-    if not isinstance(bundle["metadata"], dict):
-        raise BundleError("bundle metadata must be a JSON object")
-    if _payload_digest(bundle["payload"]) != bundle["payload_sha256"]:
+    for key in ("metadata", "rows"):
+        if not isinstance(bundle[key], dict):
+            raise BundleError(f"bundle {key} must be a JSON object")
+    if _payload_digest(bundle["payload"], bundle["rows"]) != bundle["payload_sha256"]:
         raise BundleError("payload digest mismatch (bundle corrupted or truncated)")
     if not isinstance(bundle["payload"], dict) or _TYPE_KEY not in bundle["payload"]:
         raise BundleError(f"bundle payload must be an object with a {_TYPE_KEY!r} tag")
-    model = _decode(bundle["payload"], "payload")
+    tables = _RowTables(bundle["rows"])
+    model = _decode(bundle["payload"], "payload", tables)
+    tables.check_all_used()
     object.__setattr__(model, _METADATA_ATTR, bundle["metadata"])
     return model

@@ -183,6 +183,17 @@ class PreprocessChain:
     scaler: ScalerParams | None = None
     pca: PcaModel | None = None
 
+    def __post_init__(self):
+        # Each part present reads the columns that the one before it writes.
+        widths = [(name, n) for name, n in (
+            ("whitelist", None if self.whitelist is None else len(self.whitelist)),
+            ("scaler", None if self.scaler is None else self.scaler.n_features),
+            ("pca", None if self.pca is None else self.pca.n_features),
+        ) if n is not None]
+        for (a, m), (b, n) in zip(widths, widths[1:]):
+            if m != n:
+                raise InvalidInputError(f"{a} gives {m} columns, {b} expects {n}")
+
     @classmethod
     def fit(cls, matrix: np.ndarray, whitelist: Sequence[str],
             pca_energy: float | None = None) -> tuple["PreprocessChain", np.ndarray]:

@@ -28,9 +28,10 @@ def labeled(x, y, names=None):
 
 
 def resigned(bundle: dict) -> str:
-    """Bundle text after an edit, with the payload digest recomputed so only
-    the decoder's own checks can reject it."""
-    canonical = json.dumps(bundle["payload"], sort_keys=True, separators=(",", ":"))
+    """Bundle text after an edit, with the digest over the payload and the row
+    tables recomputed so only the decoder's own checks can reject it."""
+    signed = {"payload": bundle["payload"], "rows": bundle["rows"]}
+    canonical = json.dumps(signed, sort_keys=True, separators=(",", ":"))
     bundle["payload_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return json.dumps(bundle)
 

@@ -17,6 +17,7 @@ from cardiotox.cli import main
 from cardiotox.learners import ForestModel, KernelSpec, SvmModel, Tree, mlp_init, svm_fit
 from cardiotox.persistence import save_bundle
 from cardiotox.pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
+from cardiotox.preprocess import ScalerParams
 
 from conftest import MALFORMED_TREE_EDITS, resigned
 
@@ -638,10 +639,11 @@ class TestMalformedBundle:
         # Stages are forests or SVMs; an MLP bundles on its own but not as a stage.
         bundle_path = tmp_path / "stub.toxtree.json"
         save_bundle(mlp_init([1, 4, 2], "relu", seed=0), bundle_path)
-        mlp = json.loads(bundle_path.read_text())["payload"]
+        mlp = json.loads(bundle_path.read_text())
         save_bundle(class_code_pipeline(), bundle_path)
         bundle = json.loads(bundle_path.read_text())
-        bundle["payload"]["stages"][0]["model"] = mlp
+        assert bundle["rows"] == {}  # forest stages hold no float matrix, so the MLP brings its weight rows
+        bundle["payload"]["stages"][0]["model"], bundle["rows"] = mlp["payload"], mlp["rows"]
         bundle_path.write_text(resigned(bundle))
         write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
         code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
@@ -668,7 +670,43 @@ class TestMalformedBundle:
     @pytest.mark.parametrize(
         "edit, message",
         [
+            pytest.param(
+                lambda p: p["stages"][0]["model"]["kernel"].__setitem__("gamma", None),
+                "kernel gamma and coef0 must be resolved",
+                id="unresolved-gamma",
+            ),
+            pytest.param(
+                lambda p: p["stages"][0]["model"]["kernel"].__setitem__("coef0", None),
+                "kernel gamma and coef0 must be resolved",
+                id="unresolved-poly-coef0",
+            ),
+            pytest.param(
+                lambda p: p["preprocessing"]["whitelist"].pop(),
+                "whitelist gives 1 columns, scaler expects 2",
+                id="whitelist-narrower-than-scaler",
+            ),
+        ],
+    )
+    def test_inconsistent_svm_bundle_exits_2(self, tmp_path, capsys, edit, message):
+        svm = SvmModel(KernelSpec("poly", degree=2).resolve(2), 1.0, [[2.0, 0.0], [0.0, 2.0]], [1.0, -1.0], 0.0)
+        chain = PreprocessChain(["f0", "f1"], ScalerParams(np.zeros(2), np.ones(2)), None)
+        bundle_path = tmp_path / "svm.toxtree.json"
+        save_bundle(ToxTreePipeline(chain, [SubModel("6svm", 6.0, svm)]), bundle_path)
+        bundle = json.loads(bundle_path.read_text())
+        edit(bundle["payload"])
+        bundle_path.write_text(resigned(bundle))
+        write_descriptors(tmp_path / "d.csv", ["a"], np.array([[1.0, 0.0]]), ["f0", "f1"])
+        code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
             pytest.param(lambda b: b.__setitem__("schema_version", 2), "schema_version 2", id="schema-2"),
+            pytest.param(lambda b: b.__setitem__("schema_version", 5), "schema_version 5", id="schema-5"),
             pytest.param(lambda b: b.__setitem__("schema_version", 4), "schema_version 4", id="schema-4"),
             pytest.param(lambda b: b.__setitem__("metadata", "tampered"), "metadata", id="metadata-not-object"),
         ],

@@ -2,6 +2,10 @@ import base64
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,13 @@ def roundtrip(model):
 
 def packed(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def narrowed(scaler: dict) -> dict:
+    """An encoded scaler cut to its first two columns."""
+    two = {key: {"shape": [2], "f64le": base64.b64encode(base64.b64decode(scaler[key]["f64le"])[:16]).decode()}
+           for key in ("mean", "std")}
+    return {**scaler, **two}
 
 
 def build_models(rng):
@@ -183,6 +194,57 @@ class TestRoundTrips:
         assert np.array([restored.intercept]).tobytes() == np.array([-0.0]).tobytes()
         assert json.loads(text)["payload"]["coefficients"]["f64le"] == packed([-0.0, 5e-324, -2.5e-310])
 
+    def test_two_svms_fitted_to_the_same_rows_store_them_once(self, rng):
+        x, y = make_blobs(rng, [[0, 0], [1, 1]], 30, scale=0.8)
+        y = np.where(y == 0, 1.0, -1.0)
+        a, b = svm_fit(x, y, KernelSpec("rbf"), 1.0), svm_fit(x, y, KernelSpec("rbf"), 10.0)
+        pipeline = ToxTreePipeline(PreprocessChain(), [SubModel("6svm", 6.0, a), SubModel("5svm", 5.0, b)])
+        text, restored = roundtrip(pipeline)
+        bundle = json.loads(text)
+        distinct = {row.tobytes() for row in np.vstack([a.support_vectors, b.support_vectors])}
+        assert bundle["rows"].keys() == {"2"}
+        assert bundle["rows"]["2"]["shape"] == [len(distinct), 2]
+        assert len(distinct) < len(a.support_vectors) + len(b.support_vectors)
+        for before, after in zip((a, b), (stage.model for stage in restored.stages)):
+            assert after.support_vectors.tobytes() == before.support_vectors.tobytes()
+
+    def test_equal_values_of_opposite_sign_stay_apart(self, rng):
+        model = build_models(rng)["svm"]
+        model.support_vectors = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        model.dual_coefs = model.dual_coefs[:3]
+        text, restored = roundtrip(model)
+        assert json.loads(text)["payload"]["support_vectors"]["rows"] == [0, 1, 0]
+        assert restored.support_vectors.tobytes() == model.support_vectors.tobytes()
+
+    def test_bundle_bytes_do_not_follow_the_string_hash(self):
+        # Field sets iterate in string-hash order, which PYTHONHASHSEED sets per
+        # process; the row tables must fill in an order that does not follow it.
+        script = (
+            "import io, numpy as np\n"
+            "from cardiotox.persistence import _STORED_FIELDS, save_bundle\n"
+            "from cardiotox.pipeline import ToxTreePipeline\n"
+            "from test_persistence import build_models, build_pipelines\n"
+            "rng = np.random.default_rng(20240501)\n"
+            "buf = io.StringIO()\n"
+            "save_bundle(build_pipelines(rng, build_models(rng))['nav15'], buf)\n"
+            "print(','.join(_STORED_FIELDS[ToxTreePipeline]))\n"
+            "print(buf.getvalue(), end='')\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path})
+            for seed in range(6)
+        ]
+        outputs = [proc.communicate(timeout=120)[0].split("\n", 1) for proc in procs]
+        assert all(proc.returncode == 0 for proc in procs)
+        orders = {order for order, _ in outputs}
+        bundles = {bundle for _, bundle in outputs}
+        assert len(orders) >= 2, "every seed iterated the fields in one order, so nothing was tested"
+        assert len(bundles) == 1
+        assert len(json.loads(bundles.pop())["rows"]) == 1  # support vectors and PCA components share one width
+
     def test_metadata_round_trips(self, rng, tmp_path):
         model = build_models(rng)["ridge"]
         path = tmp_path / f"model{BUNDLE_EXTENSION}"
@@ -230,11 +292,11 @@ class TestFailureModes:
 
     def test_corrupted_payload_byte(self, rng):
         text, _ = roundtrip(build_models(rng)["svm"])
-        # flip one character inside a packed array, then inside a scalar hex float
-        for marker in ('"f64le":"', '"hex":"'):
-            pos = text.index(marker) + len(marker) + 4
+        # flip one character inside a packed array, a scalar hex float, then a row table
+        for start, marker in ((0, '"f64le":"'), (0, '"hex":"'), (text.index('"rows":{'), '"f64le":"')):
+            pos = text.index(marker, start) + len(marker) + 4
             corrupted = text[:pos] + ("1" if text[pos] != "1" else "2") + text[pos + 1 :]
-            with pytest.raises(BundleError):
+            with pytest.raises(BundleError, match="digest"):
                 load_bundle(io.StringIO(corrupted))
 
     @pytest.mark.parametrize(
@@ -261,6 +323,38 @@ class TestFailureModes:
         assert len(array["shape"]) == 1
         edit(array)
         with pytest.raises(BundleError, match=match):
+            load_bundle(io.StringIO(resigned(bundle)))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            pytest.param(lambda a, t: a["rows"].__setitem__(0, t["shape"][0]), "out of range", id="index-past-table"),
+            pytest.param(lambda a, t: a["rows"].__setitem__(0, -1), "out of range", id="negative-index"),
+            pytest.param(lambda a, t: a["rows"].__setitem__(0, True), "integer indices", id="bool-index"),
+            pytest.param(lambda a, t: a["rows"].__setitem__(0, 1.5), "integer indices", id="float-index"),
+            pytest.param(lambda a, t: a["rows"].pop(), "integer indices", id="index-count-not-row-count"),
+            pytest.param(lambda a, t: a["shape"].__setitem__(1, 4), "no row table 4 wide", id="no-table-that-wide"),
+            pytest.param(lambda a, t: t["shape"].__setitem__(0, t["shape"][0] + 1), "shape", id="table-shape-not-bytes"),
+            pytest.param(
+                lambda a, t: t.__setitem__("f64le", packed([np.nan] * (3 * t["shape"][0]))), "non-finite", id="nan-table-row"
+            ),
+        ],
+    )
+    def test_malformed_row_reference_rejected(self, rng, edit, match):
+        text, _ = roundtrip(build_models(rng)["svm"])
+        bundle = json.loads(text)
+        array, table = bundle["payload"]["support_vectors"], bundle["rows"]["3"]
+        assert array["shape"][1] == 3 and len(array["rows"]) > 1
+        edit(array, table)
+        with pytest.raises(BundleError, match=match) as error:
+            load_bundle(io.StringIO(resigned(bundle)))
+        assert "payload/svm.support_vectors" in str(error.value)
+
+    def test_row_table_no_array_refers_to_rejected(self, rng):
+        text, _ = roundtrip(build_models(rng)["svm"])
+        bundle = json.loads(text)
+        bundle["rows"]["7"] = {"shape": [1, 7], "f64le": packed([0.5] * 7)}
+        with pytest.raises(BundleError, match=r"row tables \['7'\] are referenced by no array"):
             load_bundle(io.StringIO(resigned(bundle)))
 
     @pytest.mark.parametrize(
@@ -367,11 +461,46 @@ class TestFailureModes:
         with pytest.raises(BundleError, match=match):
             load_bundle(io.StringIO(resigned(bundle)))
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            pytest.param(
+                lambda p: p["stages"][0]["model"]["kernel"].__setitem__("gamma", None),
+                "payload/pipeline/submodel/svm: kernel gamma and coef0 must be resolved",
+                id="unresolved-gamma",
+            ),
+            pytest.param(
+                lambda p: p["stages"][2]["model_b"]["model"]["kernel"].__setitem__("coef0", None),
+                "payload/pipeline/consensus/submodel/svm: kernel gamma and coef0 must be resolved",
+                id="unresolved-poly-coef0",
+            ),
+            pytest.param(
+                lambda p: p["preprocessing"]["whitelist"].pop(),
+                "preprocessing: whitelist gives 2 columns, scaler expects 3",
+                id="whitelist-narrower-than-scaler",
+            ),
+            pytest.param(
+                lambda p: p["preprocessing"].update(whitelist=None, scaler=narrowed(p["preprocessing"]["scaler"])),
+                "preprocessing: scaler gives 2 columns, pca expects 3",
+                id="scaler-narrower-than-pca",
+            ),
+        ],
+    )
+    def test_inconsistent_nav_pipeline_rejected(self, rng, edit, match):
+        pipeline = build_pipelines(rng, build_models(rng))["nav15"]
+        bundle = json.loads(saved(pipeline))
+        assert bundle["payload"]["stages"][2]["model_b"]["model"]["kernel"]["kind"] == "poly"
+        edit(bundle["payload"])
+        with pytest.raises(BundleError, match=match):
+            load_bundle(io.StringIO(resigned(bundle)))
+
     def test_mlp_stage_rejected(self, rng):
         # Stages are forests or SVMs; an MLP bundles on its own but not as a stage.
         models = build_models(rng)
         bundle = json.loads(saved(build_pipelines(rng, models)["herg"]))
-        bundle["payload"]["stages"][0]["model"] = json.loads(saved(models["mlp"]))["payload"]
+        mlp = json.loads(saved(models["mlp"]))
+        assert bundle["rows"] == {}  # forest stages hold no float matrix, so the MLP brings its weight rows
+        bundle["payload"]["stages"][0]["model"], bundle["rows"] = mlp["payload"], mlp["rows"]
         with pytest.raises(BundleError, match="'model' cannot hold a MlpModel"):
             load_bundle(io.StringIO(resigned(bundle)))
 
@@ -434,6 +563,7 @@ class TestFailureModes:
             "schema_version": SCHEMA_VERSION,
             "metadata": {},
             "payload": {"type": "mystery"},
+            "rows": {},
         }
         with pytest.raises(BundleError, match="mystery"):
             load_bundle(io.StringIO(resigned(bundle)))

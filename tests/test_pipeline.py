@@ -225,6 +225,12 @@ class TestPreprocessChain:
             assert np.array_equal(rows, transform_scaler(fit_scaler(x), x))
         assert np.array_equal(chain.apply_row(x[0]), chain.apply_matrix(x[:1])[0])
 
+    def test_whitelist_must_match_pca_without_a_scaler(self, rng):
+        pca = fit_pca(rng.normal(size=(30, 3)), 1.0)
+        PreprocessChain(["a", "b", "c"], None, pca)
+        with pytest.raises(InvalidInputError, match="whitelist gives 4 columns, pca expects 3"):
+            PreprocessChain(["a", "b", "c", "d"], None, pca)
+
     @pytest.mark.parametrize("energy", [None, 0.9])
     def test_fit_without_feature_columns_rejected(self, energy):
         with pytest.raises(InvalidInputError, match="no feature columns"):

@@ -301,6 +301,12 @@ class TestSvmDecision:
         expected = 0.5 * (2.0) - 0.25 * (3.0) + 0.75 * (-5.0) + 0.125
         assert svm_decision(model, row) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", [KernelSpec("rbf"), KernelSpec("poly", gamma=0.5)], ids=["no-gamma", "no-coef0"])
+    def test_unresolved_kernel_rejected(self, spec):
+        # svm_fit stores a resolved kernel; one without gamma or coef0 cannot decide a row.
+        with pytest.raises(InvalidInputError, match="must be resolved"):
+            SvmModel(spec, 1.0, np.eye(2), np.array([1.0, -1.0]), 0.0)
+
     def test_zero_decision_predicts_positive(self):
         spec = KernelSpec("linear", gamma=1.0, coef0=0.0)
         model = SvmModel(spec, 1.0, np.empty((0, 2)), np.empty(0), bias=0.0)
