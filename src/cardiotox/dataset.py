@@ -299,70 +299,6 @@ def binarize(
     return LabeledDataset(matrix, labels, BINARY_CLASS_NAMES)
 
 
-def label_multiclass(
-    compounds: Sequence[Compound],
-    matrix: np.ndarray | None = None,
-) -> LabeledDataset:
-    """Four-class potency labeling (strong, moderate, weak, non)."""
-    labels = np.array([assign_class(c.pic50).label_index for c in compounds], dtype=int)
-    if matrix is None:
-        matrix = np.empty((len(compounds), 0))
-    return LabeledDataset(matrix, labels, MULTICLASS_NAMES)
-
-
-def _holdout_quota(labels: np.ndarray, n_classes: int, fraction: float) -> list[int]:
-    # Largest-remainder allocation against a total target of ceil(fraction*N),
-    # capped at class_size-1 so every class keeps at least one training row.
-    sizes = [int(np.sum(labels == c)) for c in range(n_classes)]
-    n = len(labels)
-    target = math.ceil(fraction * n - 1e-9)
-    quotas = [fraction * s for s in sizes]
-    take = [min(math.floor(q), max(s - 1, 0)) for q, s in zip(quotas, sizes)]
-    remainders = sorted(
-        range(n_classes),
-        key=lambda c: (-(quotas[c] - math.floor(quotas[c])), -sizes[c], c),
-    )
-    short = target - sum(take)
-    for c in remainders:
-        if short <= 0:
-            break
-        if take[c] < sizes[c] - 1:
-            take[c] += 1
-            short -= 1
-    return take
-
-
-def stratified_split(
-    dataset: LabeledDataset,
-    holdout_fraction: float,
-    seed: int,
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Class-preserving train/holdout partition, deterministic per seed.
-
-    Per-class holdout counts land within +-1 of round(fraction * class size);
-    classes with a single sample go entirely to the training side.
-    """
-    if not 0.0 < holdout_fraction < 1.0:
-        raise InvalidInputError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    n_classes = len(dataset.class_names)
-    for c, name in enumerate(dataset.class_names):
-        if not np.any(dataset.labels == c):
-            raise InvalidInputError(f"class {name!r} has no samples")
-
-    rng = np.random.default_rng(seed)
-    take = _holdout_quota(dataset.labels, n_classes, holdout_fraction)
-    holdout_idx: list[np.ndarray] = []
-    for c in range(n_classes):
-        idx = np.flatnonzero(dataset.labels == c)
-        perm = rng.permutation(idx)
-        holdout_idx.append(perm[: take[c]])
-    holdout = np.sort(np.concatenate(holdout_idx)) if holdout_idx else np.empty(0, dtype=int)
-    mask = np.ones(dataset.n_rows, dtype=bool)
-    mask[holdout] = False
-    train = np.flatnonzero(mask)
-    return dataset.subset(train), dataset.subset(holdout)
-
-
 @dataclass
 class FoldPlan:
     """Stratified fold assignment: disjoint row-index arrays covering the data."""

@@ -25,13 +25,8 @@ from ..errors import InvalidInputError
 
 
 def _node_ints(values, what: str) -> np.ndarray:
-    """values as int64. Floats and bools are refused, not truncated or cast:
-    an array by its dtype, anything else (such as a decoded bundle's lists)
-    element by element."""
-    if not isinstance(values, np.ndarray):
-        values = np.array(values, dtype=np.int64 if set(map(type, values)) <= {int} else object)
-    if values.dtype == object and set(map(type, values.flat)) <= {int}:
-        values = values.astype(np.int64)
+    """values as int64. Floats and bools are refused, not truncated or cast."""
+    values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise InvalidInputError(f"tree {what} must be integers")
     return values.astype(np.int64, copy=False)
@@ -335,8 +330,9 @@ class _GrowingTree:
         self.pending = None  # (node, depth, node tuple, features) awaiting a split search
 
 
-def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split, roots) -> list[Tree]:
-    """Grow one tree per (generator, rows, draw counts) root, all in lockstep.
+def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split, roots) -> list[tuple]:
+    """Grow one tree per (generator, rows, draw counts) root, all in lockstep;
+    each comes back as its (feature, threshold, value) arrays (see ``Tree``).
 
     A root holds each of its rows once with the number of times it was
     drawn: a classification bootstrap as its distinct rows, a regression
@@ -411,13 +407,14 @@ def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split,
                 tree.stack.append((depth + 1, children[2 * s + 1]))
                 tree.stack.append((depth + 1, children[2 * s]))
     value_type = float if n_classes is None else np.int64
-    grown = []
-    for t in trees:
-        feature = np.array([f for f, _, _ in t.nodes])
-        threshold = np.array([cut for f, cut, _ in t.nodes if f >= 0], dtype=float)
-        value = np.array([v for f, _, v in t.nodes if f < 0], dtype=value_type)
-        grown.append(Tree(feature, threshold, value))
-    return grown
+    return [
+        (
+            np.array([f for f, _, _ in t.nodes]),
+            np.array([cut for f, cut, _ in t.nodes if f >= 0], dtype=float),
+            np.array([v for f, _, v in t.nodes if f < 0], dtype=value_type),
+        )
+        for t in trees
+    ]
 
 
 def tree_fit(
@@ -451,19 +448,34 @@ def tree_fit(
             raise InvalidInputError(f"class labels must lie in [0, {n_classes})")
     fps = min(features_per_split, x.shape[1])
     roots = [(rng, np.arange(x.shape[0]), np.ones(x.shape[0], dtype=np.int64))]
-    return _grow_trees(x, y, _dense_ranks(x), n_classes, max_depth, min_leaf, fps, roots)[0]
+    return Tree(*_grow_trees(x, y, _dense_ranks(x), n_classes, max_depth, min_leaf, fps, roots)[0])
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values = values.copy()
+    values.flags.writeable = False
+    return values
 
 
 @dataclass
 class ForestModel:
-    """Bagged tree ensemble.
+    """Bagged tree ensemble, stored as one flat node table.
 
-    Classifiers (``n_classes`` set) vote over class indices with Gini trees;
-    regressors (``n_classes`` None) average squared-error trees' leaf means.
+    ``feature``, ``threshold`` and ``value`` are every tree's preorder arrays
+    (see ``Tree``) laid end to end, and ``tree_nodes`` holds each tree's node
+    count, as tree-ensemble exchange formats such as ONNX-ML's
+    ``TreeEnsembleClassifier`` keep all of an ensemble's nodes in one set of
+    arrays. The arrays are copied on construction and read-only; ``trees``
+    is derived from them, one ``Tree`` per slice built on views, and each
+    tree checks its own slice. Classifiers (``n_classes`` set) vote over
+    class indices with Gini trees; regressors (``n_classes`` None) average
+    squared-error trees' leaf means.
     """
 
-    trees: list[Tree]
-    n_estimators: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    tree_nodes: np.ndarray
     max_depth: int | None
     features_per_split: int
     seed: int
@@ -472,14 +484,53 @@ class ForestModel:
     min_leaf: int = 2
 
     def __post_init__(self):
-        if len(self.trees) != self.n_estimators:
-            raise InvalidInputError(f"forest has {len(self.trees)} trees but n_estimators={self.n_estimators}")
+        self.feature = _read_only(_node_ints(self.feature, "features"))
+        self.threshold = _read_only(np.asarray(self.threshold, dtype=float))
+        self.tree_nodes = _read_only(_node_ints(self.tree_nodes, "node counts"))
+        value = np.asarray(self.value)
+        self.value = _read_only(_node_ints(value, "class counts") if value.ndim == 2 else value)
         value_shape = () if self.n_classes is None else (self.n_classes,)
-        for tree in self.trees:
-            if tree.feature.max() >= self.n_features:
-                raise InvalidInputError(f"tree splits on a feature outside the model's {self.n_features}")
-            if tree.value.shape[1:] != value_shape:
-                raise InvalidInputError(f"tree values have shape {tree.value.shape[1:]}, expected {value_shape}")
+        if self.value.ndim != 1 + len(value_shape) or self.value.shape[1:] != value_shape:
+            raise InvalidInputError(f"tree values have shape {self.value.shape[1:]}, expected {value_shape}")
+        if self.feature.ndim != 1 or self.threshold.ndim != 1 or self.tree_nodes.ndim != 1:
+            raise InvalidInputError("forest features, thresholds and node counts must be 1-D")
+        if len(self.tree_nodes) == 0 or np.any(self.tree_nodes < 1):
+            raise InvalidInputError("a forest needs at least one tree, and every tree at least one node")
+        ends = np.cumsum(self.tree_nodes)
+        if ends[-1] != len(self.feature):
+            raise InvalidInputError(f"tree node counts sum to {ends[-1]}, but the forest has {len(self.feature)} nodes")
+        if self.feature.min() < -1 or self.feature.max() >= self.n_features:
+            raise InvalidInputError(f"tree features must be -1 (leaf) or one of the model's {self.n_features}")
+        # Cuts and leaf rows before the end of each tree.
+        split_ends = np.cumsum(self.feature >= 0)[ends - 1]
+        leaf_ends = ends - split_ends
+        if (split_ends[-1], leaf_ends[-1]) != (len(self.threshold), len(self.value)):
+            raise InvalidInputError(
+                f"forest has {split_ends[-1]} splits and {leaf_ends[-1]} leaves, but "
+                f"{len(self.threshold)} thresholds and {len(self.value)} leaf values"
+            )
+        nodes, splits, leaves = (np.concatenate([[0], e]).tolist() for e in (ends, split_ends, leaf_ends))
+        self.trees = [
+            Tree(self.feature[a:b], self.threshold[c:d], self.value[e:f])
+            for a, b, c, d, e, f in zip(nodes, nodes[1:], splits, splits[1:], leaves, leaves[1:])
+        ]
+
+    @classmethod
+    def from_trees(cls, trees, max_depth: int | None, features_per_split: int, seed: int, n_features: int,
+                   n_classes: int | None, min_leaf: int = 2) -> "ForestModel":
+        """The forest of ``trees``, each given as its (feature, threshold,
+        value) preorder arrays, in tree order."""
+        if not trees:
+            raise InvalidInputError("a forest needs at least one tree")
+        features, thresholds, values = zip(*trees)
+        return cls(
+            np.concatenate(features), np.concatenate(thresholds), np.concatenate(values),
+            [len(f) for f in features], max_depth, features_per_split, seed, n_features, n_classes, min_leaf,
+        )
+
+    @property
+    def n_estimators(self) -> int:
+        return len(self.tree_nodes)
 
     def observed_max_depth(self) -> int:
         return max(t.depth() for t in self.trees)
@@ -520,7 +571,7 @@ def _fit_forest(
             roots.append((rng, rows, draws[rows]))
     ranks = _dense_ranks(x)
 
-    def grow(share) -> list[Tree]:
+    def grow(share) -> list[tuple]:
         return _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, min(fps, d), share)
 
     if threads > 1:
@@ -528,13 +579,13 @@ def _fit_forest(
         # command would pay for a pool that few runs start.
         from concurrent.futures import ThreadPoolExecutor
 
-        trees: list[Tree] = [None] * n_estimators
+        trees: list[tuple] = [None] * n_estimators
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for t, grown in enumerate(pool.map(grow, [roots[t::threads] for t in range(threads)])):
                 trees[t::threads] = grown
     else:
         trees = grow(roots)
-    return ForestModel(trees, n_estimators, max_depth, fps, seed, d, n_classes, min_leaf)
+    return ForestModel.from_trees(trees, max_depth, fps, seed, d, n_classes, min_leaf)
 
 
 def forest_fit(
@@ -606,6 +657,20 @@ def forest_predict(model: ForestModel, row: np.ndarray) -> int:
 def forest_predict_many(model: ForestModel, matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     return np.array([forest_predict(model, r) for r in matrix], dtype=int)
+
+
+def forest_prefix_votes(model: ForestModel, matrix: np.ndarray) -> np.ndarray:
+    """Votes per class of every prefix of the forest's trees on every row:
+    entry [i, r, c] counts the first i + 1 trees voting class c on row r.
+
+    Each tree classifies each row once, so the argmax over c of entry
+    [n - 1, r] (ties to the lower class) is ``forest_predict`` of the
+    forest's first n trees on row r, without building that forest."""
+    if model.n_classes is None:
+        raise InvalidInputError("vote counts need a classification forest")
+    rows = [_row_values(model, row) for row in np.asarray(matrix, dtype=float)]
+    classes = np.array([[tree.predict(row) for row in rows] for tree in model.trees], dtype=np.int64)
+    return (classes.reshape(model.n_estimators, len(rows), 1) == np.arange(model.n_classes)).cumsum(axis=0)
 
 
 def forest_regress_predict(model: ForestModel, row: np.ndarray) -> float:

@@ -3,17 +3,19 @@
 A bundle holds one object from a fixed table of dataclasses, and their fields
 are the schema: an object is stored as a ``type`` tag plus its fields, each
 decoded field must fit its annotation, and the object is rebuilt through its
-own constructor, so each class's checks validate what is loaded. Float
-arrays are stored as base64 little-endian float64 with their shape and float
-scalars as hex floats (lossless round trips); ints, strings, bools and None
-are plain JSON; integer arrays are JSON int lists, flat with their shape
-beyond one dimension. A 2-D float array is stored as row indices into one
-bundle-level table per row width, which holds each distinct row once (as
-LIBSVM's multi-class model stores the union of its support vectors), so SVM
-stages fitted to one set of rows share them. No class needs its own code: a
-``Tree``, for one, is its preorder ``feature`` list, one cut per split and
-one value row per leaf, and its constructor derives and checks the
-children. A digest over the payload and the row tables catches corruption.
+own constructor, so each class's checks validate what is loaded. Every
+numeric array is stored packed with its shape: floats as base64
+little-endian float64, integers at the narrowest little-endian signed width
+(8, 16, 32 or 64 bits) that holds their values; float scalars are hex
+floats (lossless round trips), and ints, strings, bools and None plain
+JSON. A 2-D float array is stored as a packed integer array of row indices
+into one bundle-level table per row width, which holds each distinct row
+once (as LIBSVM's multi-class model stores the union of its support
+vectors), so SVM stages fitted to one set of rows share them. No class needs
+its own code: a ``ForestModel``, for one, is four flat arrays (every tree's
+preorder features, cuts and leaf values end to end, and each tree's node
+count), and its constructor derives and checks the trees. A digest over the
+payload and the row tables catches corruption.
 Saving is deterministic, and metadata rides along on loaded models so
 save(load(f)) reproduces f byte for byte.
 """
@@ -37,7 +39,7 @@ from .learners import BatchNormParams, ForestModel, KernelSpec, MlpModel, RidgeM
 from .pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 from .preprocess import PcaModel, ScalerParams
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 BUNDLE_EXTENSION = ".toxtree.json"
 DEFAULT_CREATED_AT = "1970-01-01T00:00:00Z"
 
@@ -70,8 +72,21 @@ _STORED_FIELDS = {
 }
 # Each stored field's annotation, which its decoded value must fit (see _fits).
 _HINTS = {cls: typing.get_type_hints(cls) for cls in BUNDLE_TYPES.values()}
-# What a list of plain values (such as a tree's features) may hold; reals are only ever {"hex"}.
+# What a list of plain values (such as a whitelist) may hold; reals are only ever {"hex"}.
 _PLAIN = {int, str, bool, type(None)}
+# Packed array payload keys and their little-endian dtypes.
+_INTS = {"i8le": "<i1", "i16le": "<i2", "i32le": "<i4", "i64le": "<i8"}
+_PACKED = {"f64le": "<f8", **_INTS}
+
+
+def _packed_ints(values: np.ndarray) -> dict:
+    """An integer array at the narrowest signed width that holds its values."""
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    for key, dtype in _INTS.items():
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return {"shape": list(values.shape), key: base64.b64encode(values.astype(dtype).tobytes()).decode()}
+    raise BundleError(f"cannot serialize integers outside 64 bits ({lo}..{hi})")
 
 
 def _encode(value, tables: dict[int, dict[bytes, int]]) -> Any:
@@ -85,7 +100,7 @@ def _encode(value, tables: dict[int, dict[bytes, int]]) -> Any:
         return {_TYPE_KEY: _TAGS[cls], **fields}
     if isinstance(value, np.ndarray):
         if value.dtype.kind in "iu":
-            return value.tolist() if value.ndim == 1 else {"shape": list(value.shape), "ints": value.ravel().tolist()}
+            return _packed_ints(value)
         value = np.asarray(value, dtype=float)
         if not np.all(np.isfinite(value)):
             raise BundleError("cannot serialize an array with non-finite values")
@@ -93,7 +108,7 @@ def _encode(value, tables: dict[int, dict[bytes, int]]) -> Any:
             return {"shape": list(value.shape), "f64le": base64.b64encode(value.astype("<f8").tobytes()).decode()}
         table = tables.setdefault(value.shape[1], {})
         rows = [table.setdefault(row.tobytes(), len(table)) for row in value.astype("<f8")]
-        return {"shape": list(value.shape), "rows": rows}
+        return {"shape": list(value.shape), "rows": _packed_ints(np.array(rows, dtype=np.int64))}
     if isinstance(value, (list, tuple)):
         return [_encode(v, tables) for v in value]
     if isinstance(value, (bool, np.bool_)):
@@ -126,17 +141,25 @@ def _shape(obj: dict, where: str) -> list[int]:
     return shape
 
 
-def _unpacked(obj: dict, shape: list[int], where: str) -> np.ndarray:
+def _unpacked(obj: dict, where: str) -> np.ndarray:
+    """A packed array: float64, or int64 from any width; exactly one payload key."""
+    shape = _shape(obj, where)
+    keys = sorted(obj.keys() - {"shape"})
+    if len(keys) != 1 or keys[0] not in _PACKED:
+        raise BundleError(f"array in {where} needs one payload key of {sorted(_PACKED)}, got {keys}")
+    dtype = np.dtype(_PACKED[keys[0]])
     try:
-        raw = base64.b64decode(obj["f64le"], validate=True)
-    except (TypeError, KeyError, ValueError) as exc:  # binascii.Error is a ValueError
+        raw = base64.b64decode(obj[keys[0]], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise BundleError(f"malformed array payload in {where}: {exc}") from exc
-    if len(raw) != 8 * math.prod(shape):
+    if len(raw) != dtype.itemsize * math.prod(shape):
         raise BundleError(f"array payload does not match its shape in {where}")
-    arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if dtype.kind == "i":
+        return arr.astype(np.int64)
     if not np.all(np.isfinite(arr)):
         raise BundleError(f"non-finite value in array payload in {where}")
-    return arr
+    return arr.astype(float)
 
 
 class _RowTables:
@@ -146,13 +169,14 @@ class _RowTables:
         self.packed = packed
         self.decoded: dict[int, np.ndarray] = {}
 
-    def take(self, index, shape: list[int], where: str) -> np.ndarray:
+    def take(self, index: dict, shape: list[int], where: str) -> np.ndarray:
         if len(shape) != 2:
             raise BundleError(f"row references need a 2-D shape, got {shape} in {where}")
-        if not isinstance(index, list) or len(index) != shape[0] or not set(map(type, index)) <= {int}:
-            raise BundleError(f"malformed row references in {where}: need {shape[0]} integer indices")
+        index = _unpacked(index, where) if isinstance(index, dict) else None
+        if index is None or index.dtype.kind != "i" or index.shape != (shape[0],):
+            raise BundleError(f"malformed row references in {where}: need {shape[0]} packed integer indices")
         table = self._table(shape[1], where)
-        if index and not (min(index) >= 0 and max(index) < len(table)):
+        if index.size and not (index.min() >= 0 and index.max() < len(table)):
             raise BundleError(f"row reference out of range in {where}: the table holds {len(table)} rows")
         return table[index]
 
@@ -162,10 +186,10 @@ class _RowTables:
             if not isinstance(packed, dict):
                 raise BundleError(f"no row table {width} wide for {where}")
             at = f"the {width}-wide row table of {where}"
-            shape = _shape(packed, at)
-            if len(shape) != 2 or shape[1] != width:
-                raise BundleError(f"malformed array shape {shape!r} in {at}")
-            self.decoded[width] = _unpacked(packed, shape, at)
+            table = _unpacked(packed, at)
+            if table.dtype.kind != "f" or table.ndim != 2 or table.shape[1] != width:
+                raise BundleError(f"malformed row table of shape {table.shape} in {at}")
+            self.decoded[width] = table
         return self.decoded[width]
 
     def check_all_used(self) -> None:
@@ -175,17 +199,12 @@ class _RowTables:
 
 
 def _decode_array(obj: dict, where: str, tables: _RowTables) -> np.ndarray:
-    """A float array, or an integer one whose elements its owner checks."""
-    shape = _shape(obj, where)
-    if "ints" in obj:
-        ints = obj["ints"]
-        size = math.prod(shape)
-        if not isinstance(ints, list) or len(ints) != size:
-            raise BundleError(f"integer array payload does not match its shape in {where}")
-        return np.fromiter(ints, dtype=object, count=size).reshape(shape)
+    """A packed array, or a 2-D float array's rows taken from the row tables."""
     if "rows" in obj:
-        return tables.take(obj["rows"], shape, where)
-    return _unpacked(obj, shape, where)
+        if obj.keys() != {"shape", "rows"}:
+            raise BundleError(f"row references in {where} need only a shape and the rows, got {sorted(obj)}")
+        return tables.take(obj["rows"], _shape(obj, where), where)
+    return _unpacked(obj, where)
 
 
 def _fits(value, hint) -> bool:
@@ -193,8 +212,8 @@ def _fits(value, hint) -> bool:
     table classes are built, so a class hint is met by its own class alone."""
     if type(value) is hint or (hint is float and type(value) is int):
         return True  # int, float, bool, str, None and the table classes
-    if hint is np.ndarray:  # a decoded array, or a 1-D integer array's JSON list
-        return isinstance(value, np.ndarray) or (isinstance(value, list) and set(map(type, value)) <= {int})
+    if hint is np.ndarray:
+        return isinstance(value, np.ndarray)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (types.UnionType, typing.Union):
         return any(_fits(value, a) for a in args)

@@ -30,8 +30,8 @@ from .learners import (
     KernelSpec,
     SvmModel,
     forest_fit,
-    forest_predict_many,
     forest_predict_proba,
+    forest_prefix_votes,
     svm_decision,
     svm_decision_many,
     svm_fit,
@@ -424,7 +424,9 @@ def tune_grid(
 
     Each fold is resampled once and shared by every configuration. Forest
     configurations are scored on prefixes of one forest per (fold, max_depth),
-    fitted at the largest size the space asks for.
+    fitted at the largest size the space asks for: each of its trees
+    classifies the validation rows once, and a configuration predicts the
+    class with the most votes among its first trees.
 
     Rankings put every configuration whose fit failed to converge in some
     fold (``converged`` False; SVMs only) after all the others, then order
@@ -449,18 +451,17 @@ def tune_grid(
             train_ds = balance(train_ds, fold_plan)
         val_ds = dataset.subset(val_idx)
         forests = _largest_forests(space, train_ds, seed)
-        # Deepest tree among each forest's first i + 1 trees.
+        # Deepest tree, and votes on each validation row, of each forest's first i + 1 trees.
         prefix_depths = {
             depth: np.maximum.accumulate([tree.depth() for tree in forest.trees]) for depth, forest in forests.items()
         }
+        prefix_votes = {depth: forest_prefix_votes(forest, val_ds.matrix) for depth, forest in forests.items()}
         for res in results:
             config = res.config
             if isinstance(config, ForestConfig):
-                full = forests[config.max_depth]
-                model = replace(full, trees=full.trees[: config.n_estimators], n_estimators=config.n_estimators)
                 depth = int(prefix_depths[config.max_depth][config.n_estimators - 1])
                 res.observed_max_depth = max(res.observed_max_depth or 0, depth)
-                preds = forest_predict_many(model, val_ds.matrix)
+                preds = prefix_votes[config.max_depth][config.n_estimators - 1].argmax(axis=1)
             else:
                 model = fit_config(config, train_ds, seed)
                 preds = np.where(svm_decision_many(model, val_ds.matrix) >= 0.0, 0, 1)

@@ -36,34 +36,56 @@ def resigned(bundle: dict) -> str:
     return json.dumps(bundle)
 
 
-def _cuts(tree: dict, count: int) -> dict:
-    """The first ``count`` cuts of an encoded tree's packed thresholds."""
-    raw = base64.b64decode(tree["threshold"]["f64le"])[: 8 * count]
-    return {"shape": [count], "f64le": base64.b64encode(raw).decode()}
+def packed_ints(values) -> dict:
+    """An encoded integer array holding ``values``, 64 bits wide (the loader
+    reads any width)."""
+    values = np.asarray(values, dtype="<i8")
+    return {"shape": list(values.shape), "i64le": base64.b64encode(values.tobytes()).decode()}
 
 
-def _leaf_rows(tree: dict, count: int) -> dict:
-    """The first ``count`` class-count rows of an encoded tree's leaves."""
-    width = tree["value"]["shape"][1]
-    return {"shape": [count, width], "ints": tree["value"]["ints"][: count * width]}
+def unpacked_ints(array: dict) -> np.ndarray:
+    """The values of an encoded integer array, at whatever width it is stored."""
+    (key,) = array.keys() - {"shape"}
+    width = int(key[1:-2]) // 8
+    return np.frombuffer(base64.b64decode(array[key]), dtype=f"<i{width}").reshape(array["shape"])
 
 
-def _reshaped(feature):
-    """Edit giving an encoded tree ``feature`` with as many cuts and leaf rows
-    as it has splits and leaves, so only the tree's shape can be refused."""
+def _cuts(forest: dict) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(forest["threshold"]["f64le"]), dtype="<f8")
 
-    def edit(tree):
-        splits = sum(f >= 0 for f in feature)
-        tree.update(feature=feature, threshold=_cuts(tree, splits), value=_leaf_rows(tree, len(feature) - splits))
+
+def _packed_cuts(cuts: np.ndarray) -> dict:
+    return {"shape": [len(cuts)], "f64le": base64.b64encode(np.asarray(cuts, dtype="<f8").tobytes()).decode()}
+
+
+def _first_tree_as(feature):
+    """Edit giving an encoded forest's first tree the preorder ``feature``,
+    keeping as many of its cuts and leaf rows as that has splits and leaves,
+    so only the tree's shape can be refused."""
+
+    def edit(forest):
+        flat, nodes, value = (unpacked_ints(forest[name]) for name in ("feature", "tree_nodes", "value"))
+        n = nodes[0]
+        splits = int(np.sum(flat[:n] >= 0))
+        new_splits = sum(f >= 0 for f in feature)
+        new_leaves = len(feature) - new_splits
+        cuts = _cuts(forest)
+        forest.update(
+            feature=packed_ints([*feature, *flat[n:]]),
+            threshold=_packed_cuts(np.concatenate([cuts[:new_splits], cuts[splits:]])),
+            value=packed_ints(np.concatenate([value[:new_leaves], value[n - splits:]])),
+            tree_nodes=packed_ints([len(feature), *nodes[1:]]),
+        )
 
     return edit
 
 
-# Edits, by test id, that leave an encoded classification tree (whose root
-# splits) malformed in its compact preorder form; each must be refused on load.
+# Edits, by test id, that leave an encoded classification forest (whose
+# first tree's root splits) malformed in its flat preorder form; each must
+# be refused on load.
 MALFORMED_TREE_EDITS = {
-    "cut-count-not-split-count": lambda t: t.update(threshold=_cuts(t, t["threshold"]["shape"][0] - 1)),
-    "leaf-rows-not-leaf-count": lambda t: t.update(value=_leaf_rows(t, t["value"]["shape"][0] - 1)),
-    "split-without-right-child": _reshaped([0, -1]),
-    "node-after-closed-tree": _reshaped([-1, -1]),
+    "cut-count-not-split-count": lambda f: f.update(threshold=_packed_cuts(_cuts(f)[:-1])),
+    "leaf-rows-not-leaf-count": lambda f: f.update(value=packed_ints(unpacked_ints(f["value"])[:-1])),
+    "split-without-right-child": _first_tree_as([0, -1]),
+    "node-after-closed-tree": _first_tree_as([-1, -1]),
 }

@@ -14,12 +14,12 @@ import pytest
 from cardiotox import cli as cli_module
 from cardiotox import pipeline as pipeline_module
 from cardiotox.cli import main
-from cardiotox.learners import ForestModel, KernelSpec, SvmModel, Tree, mlp_init, svm_fit
+from cardiotox.learners import ForestModel, KernelSpec, SvmModel, mlp_init, svm_fit
 from cardiotox.persistence import save_bundle
 from cardiotox.pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
 from cardiotox.preprocess import ScalerParams
 
-from conftest import MALFORMED_TREE_EDITS, resigned
+from conftest import MALFORMED_TREE_EDITS, packed_ints, resigned, unpacked_ints
 
 
 def write_activities(path, rows):
@@ -60,8 +60,8 @@ def synthetic_problem(rng, per_class=25):
 
 def stump_stage_model(threshold):
     """Single depth-1 tree: blocker (class 0) iff feature 0 > threshold."""
-    tree = Tree(feature=[0, -1, -1], threshold=[threshold], value=[[0, 1], [1, 0]])
-    return ForestModel([tree], 1, 1, 1, 0, n_features=1, n_classes=2)
+    tree = ([0, -1, -1], [threshold], [[0, 1], [1, 0]])
+    return ForestModel.from_trees([tree], 1, 1, 0, n_features=1, n_classes=2)
 
 
 def class_code_pipeline():
@@ -613,7 +613,8 @@ class TestMalformedBundle:
         bundle_path = tmp_path / "stub.toxtree.json"
         save_bundle(class_code_pipeline(), bundle_path)
         bundle = json.loads(bundle_path.read_text())
-        bundle["payload"]["stages"][0]["model"]["trees"][0]["feature"][0] = 999
+        forest = bundle["payload"]["stages"][0]["model"]
+        forest["feature"] = packed_ints([999, *unpacked_ints(forest["feature"])[1:]])
         bundle_path.write_text(resigned(bundle))
         write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
         code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
@@ -626,13 +627,13 @@ class TestMalformedBundle:
         bundle_path = tmp_path / "stub.toxtree.json"
         save_bundle(class_code_pipeline(), bundle_path)
         bundle = json.loads(bundle_path.read_text())
-        edit(bundle["payload"]["stages"][0]["model"]["trees"][0])
+        edit(bundle["payload"]["stages"][0]["model"])
         bundle_path.write_text(resigned(bundle))
         write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
         code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "forest/tree: tree" in capsys.readouterr().err
+        assert "submodel/forest: " in capsys.readouterr().err
         assert not (tmp_path / "o" / "predictions.csv").exists()
 
     def test_mlp_stage_exits_2(self, tmp_path, capsys):
@@ -708,6 +709,7 @@ class TestMalformedBundle:
             pytest.param(lambda b: b.__setitem__("schema_version", 2), "schema_version 2", id="schema-2"),
             pytest.param(lambda b: b.__setitem__("schema_version", 5), "schema_version 5", id="schema-5"),
             pytest.param(lambda b: b.__setitem__("schema_version", 4), "schema_version 4", id="schema-4"),
+            pytest.param(lambda b: b.__setitem__("schema_version", 6), "schema_version 6", id="schema-6"),
             pytest.param(lambda b: b.__setitem__("metadata", "tampered"), "metadata", id="metadata-not-object"),
         ],
     )

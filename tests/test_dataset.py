@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 from cardiotox.dataset import (
     ActivityRecord,
     Compound,
-    LabeledDataset,
     PotencyClass,
     assign_class,
     binarize,
-    label_multiclass,
     parse_activity_csv,
     parse_descriptor_csv,
     pic50_from_potency,
     resolve_duplicates,
     stratified_kfold,
-    stratified_split,
 )
 from cardiotox.errors import InvalidInputError, ParseError
 
@@ -185,57 +182,6 @@ class TestBinarize:
             out = binarize(comps, threshold)
             for label, p in zip(out.labels, pic50s):
                 assert (label == 0) == (assign_class(p) >= min_class)
-
-    def test_multiclass_labeling(self):
-        comps = [Compound("a", "C", 6.5), Compound("b", "C", 5.5), Compound("c", "C", 4.7), Compound("d", "C", 2.0)]
-        out = label_multiclass(comps)
-        assert list(out.labels) == [0, 1, 2, 3]
-        assert out.class_names == ("strong", "moderate", "weak", "non")
-
-
-class TestStratifiedSplit:
-    def test_four_equal_classes(self):
-        dataset = labeled(np.arange(100)[:, None], np.repeat(np.arange(4), 25))
-        train, holdout = stratified_split(dataset, 0.1, seed=3)
-        assert holdout.n_rows == 10
-        assert all(2 <= c <= 3 for c in holdout.class_counts())
-        assert train.n_rows == 90
-        merged = np.sort(np.concatenate([train.matrix[:, 0], holdout.matrix[:, 0]]))
-        assert np.array_equal(merged, np.arange(100))
-
-    def test_ten_percent_of_1723_rows(self):
-        # Nav-like class mix; ceil(172.3) = 173 holdout rows
-        sizes = (178, 953, 471, 121)
-        labels = np.concatenate([np.full(s, i) for i, s in enumerate(sizes)])
-        dataset = labeled(np.empty((sum(sizes), 0)), labels)
-        train, holdout = stratified_split(dataset, 0.1, seed=0)
-        assert (train.n_rows, holdout.n_rows) == (1550, 173)
-        for c, size in enumerate(sizes):
-            assert abs(holdout.class_counts()[c] - round(0.1 * size)) <= 1
-
-    def test_singleton_class_goes_to_train(self):
-        labels = np.array([0, 0, 0, 0, 1])
-        dataset = labeled(np.arange(5)[:, None], labels)
-        train, holdout = stratified_split(dataset, 0.4, seed=0)
-        assert train.class_counts()[1] == 1
-        assert holdout.class_counts()[1] == 0
-
-    def test_deterministic(self):
-        dataset = labeled(np.arange(60)[:, None], np.repeat([0, 1, 2], 20))
-        a = stratified_split(dataset, 0.25, seed=9)
-        b = stratified_split(dataset, 0.25, seed=9)
-        assert np.array_equal(a[1].matrix, b[1].matrix)
-
-    def test_empty_class_named_in_error(self):
-        dataset = LabeledDataset(np.empty((4, 0)), np.zeros(4, dtype=int), ("present", "ghost"))
-        with pytest.raises(InvalidInputError, match="ghost"):
-            stratified_split(dataset, 0.5, seed=0)
-
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
-    def test_fraction_bounds(self, fraction):
-        dataset = labeled(np.empty((10, 0)), np.repeat([0, 1], 5))
-        with pytest.raises(InvalidInputError):
-            stratified_split(dataset, fraction, seed=0)
 
 
 class TestStratifiedKfold:

@@ -16,6 +16,7 @@ from cardiotox.learners import (
     forest_predict,
     forest_predict_many,
     forest_predict_proba,
+    forest_prefix_votes,
     forest_regress_fit,
     forest_regress_predict,
     forest_vote_counts,
@@ -519,9 +520,32 @@ class TestForestClassifier:
 
     def test_tie_breaks_to_lower_class_index(self):
         # leaves voting 1:1 across two trees
-        leaves = [Tree([-1], [], [counts]) for counts in ([5, 0], [0, 5])]
-        model = ForestModel(leaves, 2, None, 1, 0, n_features=1, n_classes=2)
+        leaves = [([-1], [], [counts]) for counts in ([5, 0], [0, 5])]
+        model = ForestModel.from_trees(leaves, None, 1, 0, n_features=1, n_classes=2)
         assert forest_predict(model, np.array([0.0])) == 0
+
+    def test_prefix_votes_match_prefix_forests(self, rng):
+        x, y = make_blobs(rng, [[0, 0], [2, 2], [4, 0]], 20, scale=1.0)
+        forest = forest_fit(labeled(x, y), 9, seed=4)
+        probe = rng.normal(size=(40, 2)) * 3
+        votes = forest_prefix_votes(forest, probe)
+        assert votes.shape == (9, 40, 3)
+        arrays = [(t.feature, t.threshold, t.value) for t in forest.trees]
+        for n in range(1, 10):
+            prefix = ForestModel.from_trees(arrays[:n], None, forest.features_per_split, forest.seed, 2, 3)
+            assert [forest_vote_counts(prefix, row).tolist() for row in probe] == votes[n - 1].tolist()
+
+    def test_flat_arrays_are_read_only_and_trees_view_them(self, rng):
+        x, y = make_blobs(rng, [[0, 0], [4, 4]], 20)
+        forest = forest_fit(labeled(x, y), 3, seed=0)
+        assert forest.n_estimators == 3 and forest.tree_nodes.sum() == len(forest.feature)
+        for name in ("feature", "threshold", "value", "tree_nodes"):
+            assert not getattr(forest, name).flags.writeable
+        for tree in forest.trees:
+            for name in ("feature", "threshold", "value"):
+                assert np.shares_memory(getattr(tree, name), getattr(forest, name))
+        with pytest.raises(ValueError):
+            forest.trees[0].feature[0] = 1
 
     def test_rejects_empty_and_bad_counts(self, rng):
         dataset = labeled(rng.normal(size=(4, 2)), [0, 1, 0, 1])

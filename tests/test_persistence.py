@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardiotox.errors import BundleError
 from cardiotox.learners import (
+    ForestModel,
     KernelSpec,
     MlpModel,
     SvmModel,
@@ -20,6 +23,7 @@ from cardiotox.learners import (
     forest_predict_proba,
     forest_regress_fit,
     forest_regress_predict,
+    forest_vote_counts,
     mlp_init,
     mlp_predict_proba,
     mlp_train,
@@ -37,7 +41,7 @@ from cardiotox.pipeline import (
 )
 from cardiotox.preprocess import fit_pca, fit_scaler, project, transform_scaler
 
-from conftest import MALFORMED_TREE_EDITS, labeled, make_blobs, resigned
+from conftest import MALFORMED_TREE_EDITS, labeled, make_blobs, packed_ints, resigned, unpacked_ints
 
 
 def roundtrip(model):
@@ -49,6 +53,18 @@ def roundtrip(model):
 
 def packed(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def edited_ints(obj: dict, name: str, edit) -> None:
+    """Apply ``edit`` to a writable copy of the encoded integer array ``obj[name]``."""
+    values = unpacked_ints(obj[name]).astype(np.int64)
+    edit(values)
+    obj[name] = packed_ints(values)
+
+
+def as_floats(array: dict) -> dict:
+    """An encoded integer array re-encoded as a float array of the same values."""
+    return {"shape": array["shape"], "f64le": packed(unpacked_ints(array).ravel())}
 
 
 def narrowed(scaler: dict) -> dict:
@@ -213,7 +229,7 @@ class TestRoundTrips:
         model.support_vectors = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
         model.dual_coefs = model.dual_coefs[:3]
         text, restored = roundtrip(model)
-        assert json.loads(text)["payload"]["support_vectors"]["rows"] == [0, 1, 0]
+        assert unpacked_ints(json.loads(text)["payload"]["support_vectors"]["rows"]).tolist() == [0, 1, 0]
         assert restored.support_vectors.tobytes() == model.support_vectors.tobytes()
 
     def test_bundle_bytes_do_not_follow_the_string_hash(self):
@@ -254,6 +270,79 @@ class TestRoundTrips:
         assert meta["seed"] == 42 and meta["fingerprint"] == "abc123"
 
 
+@st.composite
+def flat_forests(draw):
+    """(forest, its trees' (feature, threshold, value) arrays): 1 to 12
+    random preorder trees, single leaves included, classifying or regressing."""
+    n_classes = draw(st.sampled_from([None, 2, 3]))
+    n_features = draw(st.integers(1, 200))
+    reals = st.floats(-1e6, 1e6, allow_nan=False)
+    trees = []
+    for _ in range(draw(st.integers(1, 12))):
+        feature = []
+
+        def grow(depth):
+            if depth < 5 and draw(st.booleans()):
+                feature.append(draw(st.integers(0, n_features - 1)))
+                grow(depth + 1)
+                grow(depth + 1)
+            else:
+                feature.append(-1)
+
+        grow(0)
+        splits = sum(f >= 0 for f in feature)
+        leaves = len(feature) - splits
+        threshold = np.array(draw(st.lists(reals, min_size=splits, max_size=splits)), dtype=float)
+        if n_classes is None:
+            value = np.array(draw(st.lists(reals, min_size=leaves, max_size=leaves)), dtype=float)
+        else:
+            counts = st.lists(st.integers(0, 40_000), min_size=n_classes, max_size=n_classes)
+            value = np.array(draw(st.lists(counts, min_size=leaves, max_size=leaves)), dtype=np.int64)
+        trees.append((np.array(feature), threshold, value))
+    forest = ForestModel.from_trees(trees, None, 1, draw(st.integers(0, 2**31)), n_features, n_classes)
+    return forest, trees
+
+
+def narrowest_int_key(values: np.ndarray) -> str:
+    for key, bound in (("i8le", 1 << 7), ("i16le", 1 << 15), ("i32le", 1 << 31), ("i64le", 1 << 63)):
+        if -bound <= values.min() and values.max() < bound:
+            return key
+
+
+class TestFlatForest:
+    @settings(max_examples=60, deadline=None)
+    @given(flat_forests(), st.integers(0, 2**32 - 1))
+    def test_round_trip_keeps_the_table_and_every_tree(self, drawn, probe_seed):
+        forest, trees = drawn
+        text, restored = roundtrip(forest)
+        assert saved(restored) == text
+        payload = json.loads(text)["payload"]
+        for name in ("feature", "threshold", "value", "tree_nodes"):
+            before, after = getattr(forest, name), getattr(restored, name)
+            assert after.dtype == before.dtype and after.tobytes() == before.tobytes()
+            assert not after.flags.writeable
+            if before.dtype.kind == "i":
+                assert payload[name].keys() == {"shape", narrowest_int_key(before)}
+        assert restored.n_estimators == len(trees) == len(restored.trees)
+        assert restored.tree_nodes.tolist() == [len(f) for f, _, _ in trees]
+        for (feature, threshold, value), tree in zip(trees, restored.trees):
+            for given_array, stored in ((feature, tree.feature), (threshold, tree.threshold), (value, tree.value)):
+                assert np.array_equal(given_array, stored)
+        for row in np.random.default_rng(probe_seed).normal(scale=10, size=(20, forest.n_features)):
+            if forest.n_classes is None:
+                assert forest_regress_predict(restored, row) == forest_regress_predict(forest, row)
+            else:
+                assert np.array_equal(forest_vote_counts(restored, row), forest_vote_counts(forest, row))
+
+    @pytest.mark.parametrize("feature, key", [(127, "i8le"), (128, "i16le")])
+    def test_integers_take_the_narrowest_width(self, feature, key):
+        forest = ForestModel.from_trees([([feature, -1, -1], [0.5], [[1, 0], [0, 1]])], None, 1, 0, 129, 2)
+        payload = json.loads(saved(forest))["payload"]
+        assert payload["feature"] == {"shape": [3], key: base64.b64encode(
+            np.array([feature, -1, -1], dtype=f"<i{int(key[1:-2]) // 8}").tobytes()).decode()}
+        assert "i8le" in payload["tree_nodes"] and "i8le" in payload["value"]
+
+
 class TestFailureModes:
     def test_future_schema_version(self, rng):
         text, _ = roundtrip(build_models(rng)["scaler"])
@@ -272,21 +361,35 @@ class TestFailureModes:
     @pytest.mark.parametrize(
         "edit",
         [
-            pytest.param(lambda p, t: t["feature"].__setitem__(0, 999), id="feature-out-of-range"),
-            pytest.param(lambda p, t: t["feature"].__setitem__(0, -2), id="negative-feature"),
-            pytest.param(lambda p, t: t["feature"].__setitem__(0, 1.5), id="non-integer-feature"),
-            pytest.param(lambda p, t: t["value"]["ints"].append(0), id="counts-not-n-classes-wide"),
-            pytest.param(lambda p, t: t["value"]["ints"].__setitem__(0, True), id="bool-count"),
-            pytest.param(lambda p, t: p["trees"].pop(), id="fewer-trees-than-n-estimators"),
-            *(pytest.param(lambda p, t, edit=edit: edit(t), id=name) for name, edit in MALFORMED_TREE_EDITS.items()),
+            pytest.param(lambda f: edited_ints(f, "feature", lambda a: a.__setitem__(0, 999)), id="feature-out-of-range"),
+            pytest.param(lambda f: edited_ints(f, "feature", lambda a: a.__setitem__(0, -2)), id="negative-feature"),
+            pytest.param(lambda f: f.update(feature=as_floats(f["feature"])), id="non-integer-feature"),
+            pytest.param(lambda f: f.update(value=as_floats(f["value"])), id="float-counts"),
+            pytest.param(
+                lambda f: f.update(value=packed_ints(np.pad(unpacked_ints(f["value"]), ((0, 0), (0, 1))))),
+                id="counts-not-n-classes-wide",
+            ),
+            pytest.param(lambda f: edited_ints(f, "tree_nodes", lambda a: a.__setitem__(0, a[0] + 1)),
+                         id="tree-nodes-past-feature"),
+            pytest.param(lambda f: f.update(tree_nodes=packed_ints([*unpacked_ints(f["tree_nodes"]), 0])),
+                         id="zero-node-count"),
+            pytest.param(lambda f: edited_ints(f, "tree_nodes", lambda a: a.__setitem__(slice(0, 2), a[:2] + [-1, 1])),
+                         id="tree-slice-not-one-tree"),
+            pytest.param(
+                lambda f: f.update(feature={"shape": f["feature"]["shape"], "i16le": f["feature"]["i8le"]}),
+                id="int-bytes-not-width-per-value",
+            ),
+            *(pytest.param(edit, id=name) for name, edit in MALFORMED_TREE_EDITS.items()),
         ],
     )
     def test_malformed_forest_rejected(self, rng, edit):
         text, _ = roundtrip(build_models(rng)["forest"])
         bundle = json.loads(text)
-        tree = bundle["payload"]["trees"][0]
-        assert tree["feature"][0] >= 0  # the root splits, so the edits hit an internal node
-        edit(bundle["payload"], tree)
+        forest = bundle["payload"]
+        # Every node index fits in 8 bits, and the first tree's root splits,
+        # so the edits hit an internal node.
+        assert "i8le" in forest["feature"] and unpacked_ints(forest["feature"])[0] >= 0
+        edit(forest)
         with pytest.raises(BundleError, match="forest"):
             load_bundle(io.StringIO(resigned(bundle)))
 
@@ -314,6 +417,8 @@ class TestFailureModes:
             pytest.param(lambda a: a.__setitem__("shape", [a["shape"][0], True]), "shape", id="bool-shape"),
             pytest.param(lambda a: a.__setitem__("f64le", packed([np.nan] * a["shape"][0])), "non-finite", id="nan"),
             pytest.param(lambda a: a.__setitem__("f64le", packed([np.inf] * a["shape"][0])), "non-finite", id="inf"),
+            pytest.param(lambda a: a.__setitem__("f32le", a.pop("f64le")), "payload key", id="unknown-payload-key"),
+            pytest.param(lambda a: a.__setitem__("i64le", a["f64le"]), "payload key", id="two-payload-keys"),
         ],
     )
     def test_malformed_packed_array_rejected(self, rng, edit, match):
@@ -328,11 +433,15 @@ class TestFailureModes:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            pytest.param(lambda a, t: a["rows"].__setitem__(0, t["shape"][0]), "out of range", id="index-past-table"),
-            pytest.param(lambda a, t: a["rows"].__setitem__(0, -1), "out of range", id="negative-index"),
-            pytest.param(lambda a, t: a["rows"].__setitem__(0, True), "integer indices", id="bool-index"),
-            pytest.param(lambda a, t: a["rows"].__setitem__(0, 1.5), "integer indices", id="float-index"),
-            pytest.param(lambda a, t: a["rows"].pop(), "integer indices", id="index-count-not-row-count"),
+            pytest.param(lambda a, t: edited_ints(a, "rows", lambda r: r.__setitem__(0, t["shape"][0])), "out of range",
+                         id="index-past-table"),
+            pytest.param(lambda a, t: edited_ints(a, "rows", lambda r: r.__setitem__(0, -1)), "out of range",
+                         id="negative-index"),
+            pytest.param(lambda a, t: a.update(rows=unpacked_ints(a["rows"]).tolist()), "integer indices",
+                         id="references-not-packed"),
+            pytest.param(lambda a, t: a.update(rows=as_floats(a["rows"])), "integer indices", id="float-index"),
+            pytest.param(lambda a, t: a.update(rows=packed_ints(unpacked_ints(a["rows"])[:-1])), "integer indices",
+                         id="index-count-not-row-count"),
             pytest.param(lambda a, t: a["shape"].__setitem__(1, 4), "no row table 4 wide", id="no-table-that-wide"),
             pytest.param(lambda a, t: t["shape"].__setitem__(0, t["shape"][0] + 1), "shape", id="table-shape-not-bytes"),
             pytest.param(
@@ -344,7 +453,7 @@ class TestFailureModes:
         text, _ = roundtrip(build_models(rng)["svm"])
         bundle = json.loads(text)
         array, table = bundle["payload"]["support_vectors"], bundle["rows"]["3"]
-        assert array["shape"][1] == 3 and len(array["rows"]) > 1
+        assert array["shape"][1] == 3 and array["rows"]["shape"][0] > 1
         edit(array, table)
         with pytest.raises(BundleError, match=match) as error:
             load_bundle(io.StringIO(resigned(bundle)))
@@ -379,14 +488,14 @@ class TestFailureModes:
             ),
             pytest.param(
                 "forest",
-                lambda p: p["trees"][0].__setitem__("threshold", [-float("inf")] * len(p["trees"][0]["feature"])),
+                lambda p: p.__setitem__("threshold", [-float("inf")] * p["threshold"]["shape"][0]),
                 "non-finite number -Infinity",
                 id="inf-list-tree-threshold",
             ),
             pytest.param(
                 "forest",
-                lambda p: p["trees"][0].__setitem__("threshold", [0.5] * len(p["trees"][0]["feature"])),
-                "bare number 0.5 in payload/forest/tree",
+                lambda p: p.__setitem__("threshold", [0.5] * p["threshold"]["shape"][0]),
+                "bare number 0.5 in payload/forest.threshold",
                 id="plain-list-tree-threshold",
             ),
             pytest.param("forest", lambda p: p.__setitem__("n_classes", 2.0), "bare number 2.0", id="float-n-classes"),
