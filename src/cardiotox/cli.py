@@ -32,10 +32,9 @@ from .errors import (
 )
 from .pipeline import (
     OUTCOME_CLASS,
-    ConsensusPair,
     ForestConfig,
     PreprocessChain,
-    SubModel,
+    Stage,
     SvmConfig,
     ToxTreePipeline,
     fit_config,
@@ -57,7 +56,7 @@ class _Target:
 
     family: str  # stage model: "rf" (random forest) or "svm"; also the stage-name infix
     grids: dict[str, list]  # --grid name -> tuning space
-    sampling: dict[float, tuple[Strategy, ...]]  # per cut-off when --resample is not given; two make a consensus pair
+    sampling: dict[float, tuple[Strategy, ...]]  # per cut-off when --resample is not given; two make a consensus stage
     pca: bool  # PCA (--pca-energy) follows the scaler
 
 
@@ -149,7 +148,7 @@ def _build_parser() -> _Parser:
 def _load_config_file(path: str, known_keys: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -257,6 +256,7 @@ def _stage_name(threshold: float, family: str, strategy: Strategy) -> str:
 
 
 def _cv_report_rows(threshold, name, strategy, class_counts, tuning):
+    """cv_report.csv rows, one per configuration; the keys are its columns."""
     rows = []
     for res in tuning.ranked:
         cfg = res.config
@@ -319,7 +319,7 @@ def cmd_train(args) -> int:
             )
         strategies = (Strategy(args.resample),) if args.resample else target.sampling[threshold]
 
-        members = []
+        names, models = [], []
         for strategy in strategies:
             plan = ResamplePlan(strategy, seed=args.seed + int(threshold * 10))
             train_ds = balance(stage_ds, plan)
@@ -333,10 +333,11 @@ def cmd_train(args) -> int:
             if not getattr(model, "converged", True):
                 print(f"warning: stage {name} SVM {best.describe()} did not converge "
                       "within the update cap", file=sys.stderr)
-            members.append(SubModel(name, threshold, model))
+            names.append(name)
+            models.append(model)
             print(f"stage {name}: best {tuning.best.describe()} "
                   f"(AC_cv {mx.format_percent(tuning.best.ac_cv)}, F1_cv {mx.format_percent(tuning.best.f1_cv)})")
-        stage_objs.append(members[0] if len(members) == 1 else ConsensusPair(members[0], members[1]))
+        stage_objs.append(Stage(threshold, names, models))
 
     pipeline = ToxTreePipeline(chain, stage_objs)
 
@@ -350,12 +351,9 @@ def cmd_train(args) -> int:
     )
 
     report_path = _output(args, "cv_report.csv")
-    fieldnames = [
-        "threshold", "stage", "sampling", "blk", "nblk", "ac_cv", "f1_cv",
-        "config", "n_estimators", "max_depth", "kernel", "C", "degree", "converged",
-    ]
     with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        # Every stage tunes a non-empty grid, so there is a first row.
+        writer = csv.DictWriter(fh, fieldnames=list(report_rows[0]))
         writer.writeheader()
         writer.writerows(report_rows)
     print(f"wrote {bundle_path} and {report_path}")
@@ -373,8 +371,6 @@ def _whitelist_rows(pipeline: ToxTreePipeline, table: ds.DescriptorTable) -> np.
     """The table's columns in the pipeline's whitelist order. A feature the
     table lacks is an all-NaN column, so each row reports it missing."""
     whitelist = pipeline.preprocessing.whitelist
-    if whitelist is None:
-        raise InvalidInputError("bundle's preprocessing chain has no feature whitelist")
     column = {name: j for j, name in enumerate(table.feature_names)}
     rows = np.full((table.n_rows, len(whitelist)), np.nan)
     for k, name in enumerate(whitelist):

@@ -351,11 +351,13 @@ def stratified_kfold(dataset: LabeledDataset, k: int, seed: int) -> FoldPlan:
 def text_stream(source, mode: str = "r"):
     """A caller's open text stream, used as is and never closed here, or a
     path opened as UTF-8 with newline="" (as the csv module needs) and closed
-    on exit."""
+    on exit. Reading skips a leading byte-order mark, as spreadsheet
+    "CSV UTF-8" exports write one; writing adds none."""
     if hasattr(source, "read" if mode == "r" else "write"):
         yield source
     else:
-        with open(os.fspath(source), mode, encoding="utf-8", newline="") as stream:
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        with open(os.fspath(source), mode, encoding=encoding, newline="") as stream:
             yield stream
 
 

@@ -36,10 +36,10 @@ import numpy as np
 from .dataset import text_stream
 from .errors import BundleError
 from .learners import BatchNormParams, ForestModel, KernelSpec, MlpModel, RidgeModel, SvmModel, Tree
-from .pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
+from .pipeline import PreprocessChain, Stage, ToxTreePipeline
 from .preprocess import PcaModel, ScalerParams
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 BUNDLE_EXTENSION = ".toxtree.json"
 DEFAULT_CREATED_AT = "1970-01-01T00:00:00Z"
 
@@ -59,8 +59,7 @@ BUNDLE_TYPES = {
     "mlp": MlpModel,
     "ridge": RidgeModel,
     "preprocessing": PreprocessChain,
-    "submodel": SubModel,
-    "consensus": ConsensusPair,
+    "stage": Stage,
     "pipeline": ToxTreePipeline,
 }
 _TAGS = {cls: tag for tag, cls in BUNDLE_TYPES.items()}
@@ -246,7 +245,10 @@ def _decode(obj, where: str, tables: _RowTables) -> Any:
     fields = {name: _decode(obj[name], f"{where}.{name}", tables) for name in names}
     for name, value in fields.items():
         if not _fits(value, _HINTS[cls][name]):
-            raise BundleError(f"malformed {where}: field {name!r} cannot hold a {type(value).__name__}")
+            held = type(value).__name__
+            if isinstance(value, list):
+                held += " of " + ", ".join(sorted({type(v).__name__ for v in value}))
+            raise BundleError(f"malformed {where}: field {name!r} cannot hold a {held}")
     try:
         return cls(**fields)
     except Exception as exc:  # each constructor's own checks reject what it cannot use

@@ -2,9 +2,10 @@
 
 A pipeline runs its preprocessing chain (feature whitelist, scaler, optional
 PCA projection) and then its per-threshold stages in strong -> moderate ->
-weak order; the first stage to call "blocker" decides the class. The weak
-stage may be a consensus pair whose disagreement resolves to the more
-confident member, or to Inconclusive when the confidences tie.
+weak order; the first stage to call "blocker" decides the class. A stage
+holds one model, or two that vote as a consensus (the hERG weak stage)
+whose disagreement resolves to the more confident member, or to
+Inconclusive when the confidences tie.
 """
 
 from __future__ import annotations
@@ -98,13 +99,23 @@ def _stage_predict(model: Any, row: np.ndarray) -> StagePrediction:
     raise InvalidInputError(f"unsupported stage model type {type(model).__name__}")
 
 
-@dataclass
-class SubModel:
-    """One trained binary stage: blocker-at-threshold vs the rest."""
+# Consensus members whose confidences differ by no more than this tie.
+PROB_TOLERANCE = 1e-9
 
-    name: str
+
+@dataclass
+class Stage:
+    """One trained binary stage: blocker-at-threshold vs the rest.
+
+    A stage is one model, or two same-threshold models voted together (the
+    hERG weak stage): agreement keeps the shared label with the larger
+    probability; on disagreement the more confident member wins, unless the
+    probabilities are within PROB_TOLERANCE, which is Inconclusive.
+    """
+
     threshold: float
-    model: ForestModel | SvmModel  # or any object with stage_predict(row)
+    names: list[str]
+    models: list[ForestModel | SvmModel]  # or any object with stage_predict(row)
 
     def __post_init__(self):
         if float(self.threshold) not in CUTOFFS:
@@ -112,87 +123,58 @@ class SubModel:
                 f"stage threshold must be one of {sorted(CUTOFFS)}, got {self.threshold}"
             )
         self.threshold = float(self.threshold)
-        if not isinstance(self.model, (ForestModel, SvmModel)) and not hasattr(self.model, "stage_predict"):
-            raise InvalidInputError(f"unsupported stage model type {type(self.model).__name__}")
-
-    @property
-    def n_features(self) -> int | None:
-        """Input width of the model; None for models that do not declare one."""
-        return getattr(self.model, "n_features", None)
-
-    def predict(self, row: np.ndarray) -> StagePrediction:
-        return _stage_predict(self.model, row)
-
-
-@dataclass
-class ConsensusPair:
-    """Two same-threshold stages voted together with an inconclusive escape."""
-
-    model_a: SubModel
-    model_b: SubModel
-    prob_tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if self.model_a.threshold != self.model_b.threshold:
-            raise InvalidInputError("consensus members must share a threshold")
-        if not self.prob_tolerance >= 0:  # NaN fails too
-            raise InvalidInputError("prob_tolerance must be nonnegative")
-        dim_a, dim_b = self.model_a.n_features, self.model_b.n_features
-        if dim_a is not None and dim_b is not None and dim_a != dim_b:
+        if len(self.models) not in (1, 2) or len(self.names) != len(self.models):
             raise InvalidInputError(
-                f"consensus members expect different feature counts ({dim_a} vs {dim_b})"
+                f"a stage needs one or two models, each named; got {len(self.models)} models, "
+                f"{len(self.names)} names"
             )
+        for model in self.models:
+            if not isinstance(model, (ForestModel, SvmModel)) and not hasattr(model, "stage_predict"):
+                raise InvalidInputError(f"unsupported stage model type {type(model).__name__}")
+        widths = self._widths()
+        if len(set(widths)) > 1:
+            raise InvalidInputError(f"consensus members expect different feature counts ({widths[0]} vs {widths[1]})")
 
-    @property
-    def threshold(self) -> float:
-        return self.model_a.threshold
+    def _widths(self) -> list[int]:
+        """The input widths the members declare (test stubs declare none)."""
+        return [m.n_features for m in self.models if getattr(m, "n_features", None) is not None]
 
     @property
     def name(self) -> str:
-        return f"consensus({self.model_a.name},{self.model_b.name})"
+        return self.names[0] if len(self.names) == 1 else f"consensus({','.join(self.names)})"
 
     @property
     def n_features(self) -> int | None:
-        """The members' shared input width, if either declares one."""
-        dim_a = self.model_a.n_features
-        return dim_a if dim_a is not None else self.model_b.n_features
+        return next(iter(self._widths()), None)
 
-
-def consensus_predict(pair: ConsensusPair, row: np.ndarray) -> StagePrediction | None:
-    """Joint verdict of a consensus pair; None means inconclusive.
-
-    Agreement keeps the shared label with the larger probability. On
-    disagreement the more confident member wins, unless the probabilities are
-    within prob_tolerance of each other.
-    """
-    a = pair.model_a.predict(row)
-    b = pair.model_b.predict(row)
-    if a.blocker == b.blocker:
-        return StagePrediction(a.blocker, max(a.probability, b.probability))
-    if abs(a.probability - b.probability) <= pair.prob_tolerance:
-        return None
-    winner = a if a.probability > b.probability else b
-    return StagePrediction(winner.blocker, winner.probability)
+    def predict(self, row: np.ndarray) -> StagePrediction | None:
+        """The stage's verdict; None means Inconclusive. A lone member agrees
+        with itself, so its prediction passes through unchanged."""
+        votes = [_stage_predict(model, row) for model in self.models]
+        a, b = votes[0], votes[-1]
+        if a.blocker != b.blocker and abs(a.probability - b.probability) <= PROB_TOLERANCE:
+            return None
+        return b if b.probability > a.probability else a
 
 
 @dataclass
 class PreprocessChain:
     """Whitelist selection, then scaling, then an optional PCA projection."""
 
-    whitelist: list[str] | None = None
-    scaler: ScalerParams | None = None
+    whitelist: list[str]
+    scaler: ScalerParams
     pca: PcaModel | None = None
 
     def __post_init__(self):
-        # Each part present reads the columns that the one before it writes.
-        widths = [(name, n) for name, n in (
-            ("whitelist", None if self.whitelist is None else len(self.whitelist)),
-            ("scaler", None if self.scaler is None else self.scaler.n_features),
-            ("pca", None if self.pca is None else self.pca.n_features),
-        ) if n is not None]
-        for (a, m), (b, n) in zip(widths, widths[1:]):
-            if m != n:
-                raise InvalidInputError(f"{a} gives {m} columns, {b} expects {n}")
+        # Each part reads the columns that the one before it writes.
+        if len(self.whitelist) != self.scaler.n_features:
+            raise InvalidInputError(
+                f"whitelist gives {len(self.whitelist)} columns, scaler expects {self.scaler.n_features}"
+            )
+        if self.pca is not None and self.pca.n_features != self.scaler.n_features:
+            raise InvalidInputError(
+                f"scaler gives {self.scaler.n_features} columns, pca expects {self.pca.n_features}"
+            )
 
     @classmethod
     def fit(cls, matrix: np.ndarray, whitelist: Sequence[str],
@@ -209,41 +191,30 @@ class PreprocessChain:
 
     def apply_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Scale, then project, rows that are already in whitelist order."""
-        if self.scaler is not None:
-            matrix = transform_scaler(self.scaler, matrix)
-        if self.pca is not None:
-            matrix = project(self.pca, matrix)
-        return matrix
+        matrix = transform_scaler(self.scaler, matrix)
+        return matrix if self.pca is None else project(self.pca, matrix)
 
     def apply_row(self, row: np.ndarray) -> np.ndarray:
         """One row in whitelist order; a non-finite value is a missing feature."""
         vec = np.asarray(row, dtype=float)
-        if self.whitelist is not None and vec.shape != (len(self.whitelist),):
+        if vec.shape != (len(self.whitelist),):
             raise InvalidInputError(
                 f"row has {vec.shape[0]} values, whitelist expects {len(self.whitelist)}"
             )
         bad = np.flatnonzero(~np.isfinite(vec))
         if bad.size:
-            first = int(bad[0])
-            label = self.whitelist[first] if self.whitelist is not None else first
-            raise InvalidInputError(f"missing feature {label!r}")
+            raise InvalidInputError(f"missing feature {self.whitelist[int(bad[0])]!r}")
         return self.apply_matrix(vec[None, :])[0]
 
     @property
-    def output_dim(self) -> int | None:
-        if self.pca is not None:
-            return self.pca.n_components
-        if self.scaler is not None:
-            return self.scaler.n_features
-        if self.whitelist is not None:
-            return len(self.whitelist)
-        return None
+    def output_dim(self) -> int:
+        return self.scaler.n_features if self.pca is None else self.pca.n_components
 
 
 @dataclass
 class ToxTreePipeline:
     preprocessing: PreprocessChain
-    stages: list[SubModel | ConsensusPair]
+    stages: list[Stage]
 
     def __post_init__(self):
         if not self.stages:
@@ -256,7 +227,7 @@ class ToxTreePipeline:
         out_dim = self.preprocessing.output_dim
         for stage in self.stages:
             dim = stage.n_features
-            if dim is not None and out_dim is not None and dim != out_dim:
+            if dim is not None and dim != out_dim:
                 raise InvalidInputError(
                     f"stage {stage.name!r} expects {dim} features, preprocessing outputs {out_dim}"
                 )
@@ -273,12 +244,9 @@ def pipeline_predict(pipeline: ToxTreePipeline, row: np.ndarray) -> PredictionOu
     vec = pipeline.preprocessing.apply_row(row)
     last: tuple[str, StagePrediction] | None = None
     for stage in pipeline.stages:
-        if isinstance(stage, ConsensusPair):
-            decision = consensus_predict(stage, vec)
-            if decision is None:
-                return PredictionOutcome(Outcome.INCONCLUSIVE, stage.name, None)
-        else:
-            decision = stage.predict(vec)
+        decision = stage.predict(vec)
+        if decision is None:
+            return PredictionOutcome(Outcome.INCONCLUSIVE, stage.name, None)
         if decision.blocker:
             return PredictionOutcome(
                 _CLASS_OUTCOME[assign_class(stage.threshold)], stage.name, decision.probability

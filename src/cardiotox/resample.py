@@ -18,15 +18,14 @@ class Strategy(enum.Enum):
     UNDER_SAMPLE = "under"
 
 
+# Neighbours SMOTE interpolates towards and NearMiss-1 averages over.
+K_NEIGHBORS = 5
+
+
 @dataclass(frozen=True)
 class ResamplePlan:
     strategy: Strategy = Strategy.ORIGINAL
-    k_neighbors: int = 5
     seed: int = 0
-
-    def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise InvalidInputError("k_neighbors must be at least 1")
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,7 +119,7 @@ def balance(dataset: LabeledDataset, plan: ResamplePlan) -> LabeledDataset:
 
     if plan.strategy is Strategy.OVER_SAMPLE:
         n_syn = maj_rows.shape[0] - min_rows.shape[0]
-        k = min(plan.k_neighbors, min_rows.shape[0] - 1)
+        k = min(K_NEIGHBORS, min_rows.shape[0] - 1)
         if k < 1:
             raise InvalidInputError("minority class too small for SMOTE")
         synthetic = smote(min_rows, n_syn, k, plan.seed)
@@ -129,7 +128,7 @@ def balance(dataset: LabeledDataset, plan: ResamplePlan) -> LabeledDataset:
         return LabeledDataset(matrix, labels, dataset.class_names)
 
     # UNDER_SAMPLE
-    k = min(plan.k_neighbors, min_rows.shape[0])
+    k = min(K_NEIGHBORS, min_rows.shape[0])
     selected = nearmiss(maj_rows, min_rows, min_rows.shape[0], k)
     majority_indices = np.flatnonzero(dataset.labels == majority_label)
     keep = np.sort(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cardiotox.dataset import LabeledDataset
+from cardiotox.pipeline import PreprocessChain
+from cardiotox.preprocess import ScalerParams
 
 
 @pytest.fixture
@@ -25,6 +27,13 @@ def labeled(x, y, names=None):
     if names is None:
         names = tuple(f"c{i}" for i in range(int(np.max(y)) + 1))
     return LabeledDataset(np.asarray(x, dtype=float), np.asarray(y, dtype=int), names)
+
+
+def identity_chain(*names: str) -> PreprocessChain:
+    """A chain over ``names`` (default one feature, f0) whose scaler
+    (mean 0, std 1) passes each value through unchanged."""
+    names = list(names or ["f0"])
+    return PreprocessChain(names, ScalerParams(np.zeros(len(names)), np.ones(len(names))))
 
 
 def resigned(bundle: dict) -> str:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import labeled, make_blobs
+from conftest import identity_chain, labeled, make_blobs
 
 _TOL_PP = 0.05  # percentage points
 
@@ -298,20 +298,12 @@ def test_criterion_08_forest_suite(rng):
 
 def test_criterion_09_pipeline_routing(rng):
     from cardiotox.dataset import assign_class
-    from cardiotox.pipeline import (
-        ConsensusPair,
-        Outcome,
-        PreprocessChain,
-        SubModel,
-        ToxTreePipeline,
-        consensus_predict,
-        pipeline_predict,
-    )
+    from cardiotox.pipeline import Outcome, Stage, ToxTreePipeline, pipeline_predict
     from test_pipeline import StubStage, ThresholdStage
 
     start = time.perf_counter()
-    stages = [SubModel(f"t{t}", t, ThresholdStage(t)) for t in (6.0, 5.0, 4.5)]
-    pipeline = ToxTreePipeline(PreprocessChain(), stages)
+    stages = [Stage(t, [f"t{t}"], [ThresholdStage(t)]) for t in (6.0, 5.0, 4.5)]
+    pipeline = ToxTreePipeline(identity_chain(), stages)
     outcome_for = {
         "strong": Outcome.STRONG_BLOCKER,
         "moderate": Outcome.MODERATE_BLOCKER,
@@ -324,18 +316,9 @@ def test_criterion_09_pipeline_routing(rng):
         for v in values
     )
 
-    agree = consensus_predict(
-        ConsensusPair(SubModel("a", 4.5, StubStage(True, 0.9)), SubModel("b", 4.5, StubStage(True, 0.7))),
-        np.zeros(1),
-    )
-    differ = consensus_predict(
-        ConsensusPair(SubModel("a", 4.5, StubStage(True, 0.8)), SubModel("b", 4.5, StubStage(False, 0.6))),
-        np.zeros(1),
-    )
-    tied = consensus_predict(
-        ConsensusPair(SubModel("a", 4.5, StubStage(True, 0.7)), SubModel("b", 4.5, StubStage(False, 0.7))),
-        np.zeros(1),
-    )
+    agree = Stage(4.5, ["a", "b"], [StubStage(True, 0.9), StubStage(True, 0.7)]).predict(np.zeros(1))
+    differ = Stage(4.5, ["a", "b"], [StubStage(True, 0.8), StubStage(False, 0.6)]).predict(np.zeros(1))
+    tied = Stage(4.5, ["a", "b"], [StubStage(True, 0.7), StubStage(False, 0.7)]).predict(np.zeros(1))
     consensus_ok = (
         agree is not None and agree.blocker and agree.probability == 0.9
         and differ is not None and differ.blocker

@@ -1,7 +1,9 @@
-"""What the benchmark's span recorder (perfbench/spans.py) needs from the
-package: it wraps public functions by name and reads fitted forests. A rename
-here would otherwise only show as a crash of a traced benchmark run."""
+"""What the benchmark (perfbench/) needs from the package: its span recorder
+wraps public functions by name and reads fitted forests, and its per-stage
+counters name the stages train builds. A rename here would otherwise only
+show as a crash of a traced benchmark run, or as counters silently at zero."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -11,10 +13,12 @@ import pytest
 
 from cardiotox import cli
 from cardiotox.learners import forest_fit
+from cardiotox.pipeline import Stage
 
 from conftest import labeled, make_blobs
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+RUN_PATH = SPANS_PATH.with_name("run.py")
 
 
 def load_spans():
@@ -57,3 +61,27 @@ BENCH_ARGVS = [
 def test_benchmark_command_lines_parse(argv):
     args = cli._build_parser().parse_args(argv)
     assert args.command == argv[0] and args.out == "O"
+
+
+class _Member:
+    """A stage model that is never asked to predict."""
+
+    def stage_predict(self, row):
+        raise AssertionError("not called")
+
+
+def test_benchmark_stage_counters_name_the_stages_train_builds():
+    # perfbench/run.py's STAGES, read without running the module.
+    (stages,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(RUN_PATH.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["STAGES"]
+    ]
+    # What cmd_train names each stage of every target's default architecture (no --resample).
+    built = [
+        Stage(threshold, [cli._stage_name(threshold, target.family, s) for s in strategies],
+              [_Member() for _ in strategies]).name
+        for target in cli._TARGETS.values()
+        for threshold, strategies in target.sampling.items()
+    ]
+    assert built == list(stages)

@@ -16,10 +16,10 @@ from cardiotox import pipeline as pipeline_module
 from cardiotox.cli import main
 from cardiotox.learners import ForestModel, KernelSpec, SvmModel, mlp_init, svm_fit
 from cardiotox.persistence import save_bundle
-from cardiotox.pipeline import ConsensusPair, PreprocessChain, SubModel, ToxTreePipeline
+from cardiotox.pipeline import PreprocessChain, Stage, ToxTreePipeline
 from cardiotox.preprocess import ScalerParams
 
-from conftest import MALFORMED_TREE_EDITS, packed_ints, resigned, unpacked_ints
+from conftest import MALFORMED_TREE_EDITS, identity_chain, packed_ints, resigned, unpacked_ints
 
 
 def write_activities(path, rows):
@@ -67,11 +67,11 @@ def stump_stage_model(threshold):
 def class_code_pipeline():
     """Pipeline reading a class code in f0: 3=strong, 2=moderate, 1=weak, 0=non."""
     stages = [
-        SubModel("6stub", 6.0, stump_stage_model(2.5)),
-        SubModel("5stub", 5.0, stump_stage_model(1.5)),
-        SubModel("4o5stub", 4.5, stump_stage_model(0.5)),
+        Stage(6.0, ["6stub"], [stump_stage_model(2.5)]),
+        Stage(5.0, ["5stub"], [stump_stage_model(1.5)]),
+        Stage(4.5, ["4o5stub"], [stump_stage_model(0.5)]),
     ]
-    return ToxTreePipeline(PreprocessChain(["f0"], None, None), stages)
+    return ToxTreePipeline(identity_chain(), stages)
 
 
 class TestCurate:
@@ -285,6 +285,14 @@ class TestTrain:
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_config_file_with_a_byte_order_mark(self, trained, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("thresholds=6\ngrid=quick\nfolds=2\n", encoding="utf-8-sig")
+        code = main(["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                     "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert (tmp_path / "o" / "cv_report.csv").read_text().count("\n") == 3  # header + 2 quick configs
 
     def test_unknown_config_key_exits_1(self, trained, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -579,14 +587,33 @@ class TestPredict:
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_bundle_without_whitelist_exits_2_once(self, tmp_path, capsys, command):
         bundle_path = tmp_path / "stub.toxtree.json"
-        save_bundle(ToxTreePipeline(PreprocessChain(), class_code_pipeline().stages), bundle_path)
+        save_bundle(class_code_pipeline(), bundle_path)
+        bundle = json.loads(bundle_path.read_text())
+        bundle["payload"]["preprocessing"]["whitelist"] = None
+        bundle_path.write_text(resigned(bundle))
         write_descriptors(tmp_path / "d.csv", ["a", "b"], np.array([[3.0], [0.0]]), ["f0"])
         write_compounds(tmp_path / "c.csv", ["a", "b"], [6.5, 3.5])
         extra = ["--compounds", str(tmp_path / "c.csv")] if command == "evaluate" else []
         code = main([command, "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
                      *extra, "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.count("no feature whitelist") == 1
+        assert capsys.readouterr().err.count("'whitelist' cannot hold a NoneType") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_bundle_without_scaler_exits_2(self, tmp_path, capsys, command):
+        bundle_path = tmp_path / "stub.toxtree.json"
+        save_bundle(class_code_pipeline(), bundle_path)
+        bundle = json.loads(bundle_path.read_text())
+        bundle["payload"]["preprocessing"]["scaler"] = None
+        bundle_path.write_text(resigned(bundle))
+        write_descriptors(tmp_path / "d.csv", ["a", "b"], np.array([[3.0], [0.0]]), ["f0"])
+        write_compounds(tmp_path / "c.csv", ["a", "b"], [6.5, 3.5])
+        extra = ["--compounds", str(tmp_path / "c.csv")] if command == "evaluate" else []
+        code = main([command, "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
+                     *extra, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'scaler' cannot hold a NoneType" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -594,8 +621,7 @@ class TestPredict:
         # On purpose, K(huge, sv) overflows to inf for both support vectors, so f = inf - inf = NaN.
         svm = SvmModel(KernelSpec("linear").resolve(2), 1.0, [[2.0, 0.0], [0.0, 2.0]], [1.0, -1.0], 0.0)
         bundle_path = tmp_path / "svm.toxtree.json"
-        save_bundle(ToxTreePipeline(PreprocessChain(["f0", "f1"], None, None), [SubModel("6svm", 6.0, svm)]),
-                    bundle_path)
+        save_bundle(ToxTreePipeline(identity_chain("f0", "f1"), [Stage(6.0, ["6svm"], [svm])]), bundle_path)
         write_descriptors(tmp_path / "d.csv", ["ok", "huge"], np.array([[1.0, 0.0], [1.7e308, 1.7e308]]),
                           ["f0", "f1"])
         out = tmp_path / "o"
@@ -613,7 +639,7 @@ class TestMalformedBundle:
         bundle_path = tmp_path / "stub.toxtree.json"
         save_bundle(class_code_pipeline(), bundle_path)
         bundle = json.loads(bundle_path.read_text())
-        forest = bundle["payload"]["stages"][0]["model"]
+        forest = bundle["payload"]["stages"][0]["models"][0]
         forest["feature"] = packed_ints([999, *unpacked_ints(forest["feature"])[1:]])
         bundle_path.write_text(resigned(bundle))
         write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
@@ -627,13 +653,13 @@ class TestMalformedBundle:
         bundle_path = tmp_path / "stub.toxtree.json"
         save_bundle(class_code_pipeline(), bundle_path)
         bundle = json.loads(bundle_path.read_text())
-        edit(bundle["payload"]["stages"][0]["model"])
+        edit(bundle["payload"]["stages"][0]["models"][0])
         bundle_path.write_text(resigned(bundle))
         write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
         code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "submodel/forest: " in capsys.readouterr().err
+        assert "stage/forest: " in capsys.readouterr().err
         assert not (tmp_path / "o" / "predictions.csv").exists()
 
     def test_mlp_stage_exits_2(self, tmp_path, capsys):
@@ -644,22 +670,21 @@ class TestMalformedBundle:
         save_bundle(class_code_pipeline(), bundle_path)
         bundle = json.loads(bundle_path.read_text())
         assert bundle["rows"] == {}  # forest stages hold no float matrix, so the MLP brings its weight rows
-        bundle["payload"]["stages"][0]["model"], bundle["rows"] = mlp["payload"], mlp["rows"]
+        bundle["payload"]["stages"][0]["models"][0], bundle["rows"] = mlp["payload"], mlp["rows"]
         bundle_path.write_text(resigned(bundle))
         write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
         code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "'model' cannot hold a MlpModel" in capsys.readouterr().err
+        assert "'models' cannot hold a list of MlpModel" in capsys.readouterr().err
         assert not (tmp_path / "o" / "predictions.csv").exists()
 
     def test_mismatched_consensus_members_exit_2(self, tmp_path, capsys):
-        pair = ConsensusPair(SubModel("4o5a", 4.5, stump_stage_model(0.5)),
-                             SubModel("4o5b", 4.5, stump_stage_model(1.5)))
+        pair = Stage(4.5, ["4o5a", "4o5b"], [stump_stage_model(0.5), stump_stage_model(1.5)])
         bundle_path = tmp_path / "stub.toxtree.json"
-        save_bundle(ToxTreePipeline(PreprocessChain(), [pair]), bundle_path)
+        save_bundle(ToxTreePipeline(identity_chain(), [pair]), bundle_path)
         bundle = json.loads(bundle_path.read_text())
-        bundle["payload"]["stages"][0]["model_b"]["model"]["n_features"] = 2
+        bundle["payload"]["stages"][0]["models"][1]["n_features"] = 2
         bundle_path.write_text(resigned(bundle))
         write_descriptors(tmp_path / "d.csv", ["a"], np.array([[3.0]]), ["f0"])
         code = main(["predict", "--bundle", str(bundle_path), "--descriptors", str(tmp_path / "d.csv"),
@@ -672,12 +697,12 @@ class TestMalformedBundle:
         "edit, message",
         [
             pytest.param(
-                lambda p: p["stages"][0]["model"]["kernel"].__setitem__("gamma", None),
+                lambda p: p["stages"][0]["models"][0]["kernel"].__setitem__("gamma", None),
                 "kernel gamma and coef0 must be resolved",
                 id="unresolved-gamma",
             ),
             pytest.param(
-                lambda p: p["stages"][0]["model"]["kernel"].__setitem__("coef0", None),
+                lambda p: p["stages"][0]["models"][0]["kernel"].__setitem__("coef0", None),
                 "kernel gamma and coef0 must be resolved",
                 id="unresolved-poly-coef0",
             ),
@@ -692,7 +717,7 @@ class TestMalformedBundle:
         svm = SvmModel(KernelSpec("poly", degree=2).resolve(2), 1.0, [[2.0, 0.0], [0.0, 2.0]], [1.0, -1.0], 0.0)
         chain = PreprocessChain(["f0", "f1"], ScalerParams(np.zeros(2), np.ones(2)), None)
         bundle_path = tmp_path / "svm.toxtree.json"
-        save_bundle(ToxTreePipeline(chain, [SubModel("6svm", 6.0, svm)]), bundle_path)
+        save_bundle(ToxTreePipeline(chain, [Stage(6.0, ["6svm"], [svm])]), bundle_path)
         bundle = json.loads(bundle_path.read_text())
         edit(bundle["payload"])
         bundle_path.write_text(resigned(bundle))
@@ -710,6 +735,7 @@ class TestMalformedBundle:
             pytest.param(lambda b: b.__setitem__("schema_version", 5), "schema_version 5", id="schema-5"),
             pytest.param(lambda b: b.__setitem__("schema_version", 4), "schema_version 4", id="schema-4"),
             pytest.param(lambda b: b.__setitem__("schema_version", 6), "schema_version 6", id="schema-6"),
+            pytest.param(lambda b: b.__setitem__("schema_version", 7), "schema_version 7", id="schema-7"),
             pytest.param(lambda b: b.__setitem__("metadata", "tampered"), "metadata", id="metadata-not-object"),
         ],
     )
@@ -728,6 +754,28 @@ class TestMalformedBundle:
 
 
 class TestEvaluate:
+    def test_compounds_with_a_byte_order_mark(self, trained, tmp_path):
+        marked = tmp_path / "compounds.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + trained["compounds"].read_bytes())
+        outputs = {}
+        for name, compounds in (("plain", trained["compounds"]), ("marked", marked)):
+            code = main(["evaluate", "--bundle", str(trained["bundle"]), "--descriptors", str(trained["descriptors"]),
+                         "--compounds", str(compounds), "--out", str(tmp_path / name)])
+            assert code == 0
+            outputs[name] = (tmp_path / name / "metrics.csv").read_bytes()
+        assert outputs["marked"] == outputs["plain"]
+        assert not outputs["plain"].startswith(b"\xef\xbb\xbf")
+
+    def test_whitelist_with_a_byte_order_mark(self, trained, tmp_path):
+        whitelist = tmp_path / "wl.txt"
+        whitelist.write_text("f0\nf1\n", encoding="utf-8-sig")
+        code = main(["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                     "--whitelist", str(whitelist), "--thresholds", "6", "--grid", "quick", "--folds", "2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        bundle = json.loads((tmp_path / "o" / "herg-toxtree.toxtree.json").read_text())
+        assert bundle["payload"]["preprocessing"]["whitelist"] == ["f0", "f1"]
+
     def test_perfect_pipeline_scores_one(self, tmp_path):
         bundle_path = tmp_path / "stub.toxtree.json"
         save_bundle(class_code_pipeline(), bundle_path)
@@ -775,12 +823,11 @@ class TestEvaluate:
 
     def test_inconclusive_outcomes_count_as_non_blockers(self, tmp_path):
         # the weak-stage stumps disagree with equal confidence on code 1
-        pair = ConsensusPair(SubModel("4o5a", 4.5, stump_stage_model(0.5)),
-                             SubModel("4o5b", 4.5, stump_stage_model(1.75)))
-        stages = [SubModel("6stub", 6.0, stump_stage_model(2.5)),
-                  SubModel("5stub", 5.0, stump_stage_model(1.5)), pair]
+        pair = Stage(4.5, ["4o5a", "4o5b"], [stump_stage_model(0.5), stump_stage_model(1.75)])
+        stages = [Stage(6.0, ["6stub"], [stump_stage_model(2.5)]),
+                  Stage(5.0, ["5stub"], [stump_stage_model(1.5)]), pair]
         bundle_path = tmp_path / "stub.toxtree.json"
-        save_bundle(ToxTreePipeline(PreprocessChain(["f0"], None, None), stages), bundle_path)
+        save_bundle(ToxTreePipeline(identity_chain(), stages), bundle_path)
         keys = [f"c{i}" for i in range(6)]
         write_descriptors(tmp_path / "d.csv", keys, np.array([[3.0], [2.0], [1.0], [0.0], [1.0], [1.0]]), ["f0"])
         write_compounds(tmp_path / "c.csv", keys, [6.5, 5.5, 4.7, 3.5, 4.7, 3.5])

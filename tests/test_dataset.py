@@ -399,3 +399,20 @@ def test_compounds_csv_rejects_duplicate_key():
     text = "compound_key,smiles,pic50\nc0,C,6.5\n\nc1,C,4.0\nc0,C,5.0\n"
     with pytest.raises(ParseError, match=r"line 5: duplicate compound key 'c0' \(first on line 2\)"):
         parse_compounds_csv(io.StringIO(text))
+
+
+def test_inputs_with_a_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a byte-order mark; the first header name must not keep it.
+    from cardiotox.dataset import parse_compounds_csv, write_compounds_csv
+
+    compounds = [Compound("a", "CCO", 6.5), Compound("b", "CCN", 4.5)]
+    plain = tmp_path / "compounds.csv"
+    write_compounds_csv(compounds, plain)
+    assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")  # writes add no mark
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert parse_compounds_csv(marked) == compounds
+
+    activities = tmp_path / "activities.csv"
+    activities.write_text(TestParseActivityCsv.HEADER + "c1,CCO,12,IC50,uM\n", encoding="utf-8-sig")
+    assert parse_activity_csv(activities)[0].compound_key == "c1"

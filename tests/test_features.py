@@ -280,3 +280,10 @@ def test_whitelist_loader(tmp_path):
     path = tmp_path / "wl.txt"
     path.write_text("# comment\nALogP\n\nnAtom  # trailing\n  XLogP\n", encoding="utf-8")
     assert load_feature_whitelist(path) == ["ALogP", "nAtom", "XLogP"]
+
+
+def test_whitelist_loader_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "wl.txt"
+    path.write_text("ALogP\nnAtom\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_feature_whitelist(path) == ["ALogP", "nAtom"]

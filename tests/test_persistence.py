@@ -33,15 +33,14 @@ from cardiotox.learners import (
 )
 from cardiotox.persistence import BUNDLE_EXTENSION, BUNDLE_TYPES, SCHEMA_VERSION, load_bundle, save_bundle
 from cardiotox.pipeline import (
-    ConsensusPair,
     PreprocessChain,
-    SubModel,
+    Stage,
     ToxTreePipeline,
     pipeline_predict,
 )
 from cardiotox.preprocess import fit_pca, fit_scaler, project, transform_scaler
 
-from conftest import MALFORMED_TREE_EDITS, labeled, make_blobs, packed_ints, resigned, unpacked_ints
+from conftest import MALFORMED_TREE_EDITS, identity_chain, labeled, make_blobs, packed_ints, resigned, unpacked_ints
 
 
 def roundtrip(model):
@@ -104,9 +103,9 @@ def build_pipelines(rng, models):
     herg = ToxTreePipeline(
         PreprocessChain(["f0", "f1", "f2"], models["scaler"], None),
         [
-            SubModel("6rf-ovrs", 6.0, forest),
-            SubModel("5rf-ovrs", 5.0, forest),
-            ConsensusPair(SubModel("4o5rf", 4.5, forest), SubModel("4o5rf-ovrs", 4.5, forest)),
+            Stage(6.0, ["6rf-ovrs"], [forest]),
+            Stage(5.0, ["5rf-ovrs"], [forest]),
+            Stage(4.5, ["4o5rf", "4o5rf-ovrs"], [forest, forest]),
         ],
     )
     chain = PreprocessChain(["f0", "f1", "f2"], models["scaler"], models["pca"])
@@ -119,9 +118,9 @@ def build_pipelines(rng, models):
     nav = ToxTreePipeline(
         chain,
         [
-            SubModel("6svm", 6.0, svm("linear", 1.0)),
-            SubModel("5svm-ovrs", 5.0, svm("rbf", 10.0)),
-            ConsensusPair(SubModel("4o5svm", 4.5, svm("rbf", 1.0)), SubModel("4o5svm-ovrs", 4.5, svm("poly", 1.0))),
+            Stage(6.0, ["6svm"], [svm("linear", 1.0)]),
+            Stage(5.0, ["5svm-ovrs"], [svm("rbf", 10.0)]),
+            Stage(4.5, ["4o5svm", "4o5svm-ovrs"], [svm("rbf", 1.0), svm("poly", 1.0)]),
         ],
     )
     return {"herg": herg, "nav15": nav}
@@ -214,14 +213,14 @@ class TestRoundTrips:
         x, y = make_blobs(rng, [[0, 0], [1, 1]], 30, scale=0.8)
         y = np.where(y == 0, 1.0, -1.0)
         a, b = svm_fit(x, y, KernelSpec("rbf"), 1.0), svm_fit(x, y, KernelSpec("rbf"), 10.0)
-        pipeline = ToxTreePipeline(PreprocessChain(), [SubModel("6svm", 6.0, a), SubModel("5svm", 5.0, b)])
+        pipeline = ToxTreePipeline(identity_chain("f0", "f1"), [Stage(6.0, ["6svm"], [a]), Stage(5.0, ["5svm"], [b])])
         text, restored = roundtrip(pipeline)
         bundle = json.loads(text)
         distinct = {row.tobytes() for row in np.vstack([a.support_vectors, b.support_vectors])}
         assert bundle["rows"].keys() == {"2"}
         assert bundle["rows"]["2"]["shape"] == [len(distinct), 2]
         assert len(distinct) < len(a.support_vectors) + len(b.support_vectors)
-        for before, after in zip((a, b), (stage.model for stage in restored.stages)):
+        for before, after in zip((a, b), (stage.models[0] for stage in restored.stages)):
             assert after.support_vectors.tobytes() == before.support_vectors.tobytes()
 
     def test_equal_values_of_opposite_sign_stay_apart(self, rng):
@@ -532,34 +531,34 @@ class TestFailureModes:
                 id="pca-in-the-scaler-slot",
             ),
             pytest.param(
-                lambda p: p["stages"][0]["model"].__setitem__("kernel", p["preprocessing"]["scaler"]),
+                lambda p: p["stages"][0]["models"][0].__setitem__("kernel", p["preprocessing"]["scaler"]),
                 "'kernel' cannot hold a ScalerParams",
                 id="scaler-as-svm-kernel",
             ),
             pytest.param(
-                lambda p: p["stages"][0].__setitem__("model", p["preprocessing"]["scaler"]),
-                "'model' cannot hold a ScalerParams",
+                lambda p: p["stages"][0]["models"].__setitem__(0, p["preprocessing"]["scaler"]),
+                "'models' cannot hold a list of ScalerParams",
                 id="scaler-as-stage-model",
             ),
             pytest.param(
-                lambda p: p["stages"][2].__setitem__("model_a", p["stages"][0]["model"]),
-                "'model_a' cannot hold a SvmModel",
+                lambda p: p["stages"][2].__setitem__("models", p["stages"][0]["models"][0]),
+                "'models' cannot hold a SvmModel",
                 id="bare-svm-as-consensus-member",
             ),
             pytest.param(
                 lambda p: p["stages"].__setitem__(0, p["preprocessing"]),
-                "'stages' cannot hold a list",
+                "'stages' cannot hold a list of PreprocessChain, Stage",
                 id="preprocessing-as-stage",
             ),
             pytest.param(
                 lambda p: p["preprocessing"].__setitem__("whitelist", [["f0"], "f1", "f2"]),
-                "'whitelist' cannot hold a list",
+                "'whitelist' cannot hold a list of list, str",
                 id="nested-whitelist",
             ),
             pytest.param(
-                lambda p: p["stages"][2].__setitem__("prob_tolerance", float("nan")),
+                lambda p: p["stages"][2].__setitem__("threshold", float("nan")),
                 "non-finite number NaN",
-                id="nan-prob-tolerance",
+                id="nan-stage-threshold",
             ),
         ],
     )
@@ -574,13 +573,13 @@ class TestFailureModes:
         "edit, match",
         [
             pytest.param(
-                lambda p: p["stages"][0]["model"]["kernel"].__setitem__("gamma", None),
-                "payload/pipeline/submodel/svm: kernel gamma and coef0 must be resolved",
+                lambda p: p["stages"][0]["models"][0]["kernel"].__setitem__("gamma", None),
+                "payload/pipeline/stage/svm: kernel gamma and coef0 must be resolved",
                 id="unresolved-gamma",
             ),
             pytest.param(
-                lambda p: p["stages"][2]["model_b"]["model"]["kernel"].__setitem__("coef0", None),
-                "payload/pipeline/consensus/submodel/svm: kernel gamma and coef0 must be resolved",
+                lambda p: p["stages"][2]["models"][1]["kernel"].__setitem__("coef0", None),
+                "payload/pipeline/stage/svm: kernel gamma and coef0 must be resolved",
                 id="unresolved-poly-coef0",
             ),
             pytest.param(
@@ -589,7 +588,7 @@ class TestFailureModes:
                 id="whitelist-narrower-than-scaler",
             ),
             pytest.param(
-                lambda p: p["preprocessing"].update(whitelist=None, scaler=narrowed(p["preprocessing"]["scaler"])),
+                lambda p: p["preprocessing"].update(whitelist=["f0", "f1"], scaler=narrowed(p["preprocessing"]["scaler"])),
                 "preprocessing: scaler gives 2 columns, pca expects 3",
                 id="scaler-narrower-than-pca",
             ),
@@ -598,7 +597,7 @@ class TestFailureModes:
     def test_inconsistent_nav_pipeline_rejected(self, rng, edit, match):
         pipeline = build_pipelines(rng, build_models(rng))["nav15"]
         bundle = json.loads(saved(pipeline))
-        assert bundle["payload"]["stages"][2]["model_b"]["model"]["kernel"]["kind"] == "poly"
+        assert bundle["payload"]["stages"][2]["models"][1]["kernel"]["kind"] == "poly"
         edit(bundle["payload"])
         with pytest.raises(BundleError, match=match):
             load_bundle(io.StringIO(resigned(bundle)))
@@ -609,8 +608,8 @@ class TestFailureModes:
         bundle = json.loads(saved(build_pipelines(rng, models)["herg"]))
         mlp = json.loads(saved(models["mlp"]))
         assert bundle["rows"] == {}  # forest stages hold no float matrix, so the MLP brings its weight rows
-        bundle["payload"]["stages"][0]["model"], bundle["rows"] = mlp["payload"], mlp["rows"]
-        with pytest.raises(BundleError, match="'model' cannot hold a MlpModel"):
+        bundle["payload"]["stages"][0]["models"][0], bundle["rows"] = mlp["payload"], mlp["rows"]
+        with pytest.raises(BundleError, match="'models' cannot hold a list of MlpModel"):
             load_bundle(io.StringIO(resigned(bundle)))
 
     @pytest.mark.parametrize(

@@ -9,15 +9,14 @@ from cardiotox.errors import InvalidInputError
 from cardiotox.learners import KernelSpec, forest_fit, forest_predict_many, mlp_init, svm_decision_many, svm_fit
 from cardiotox.metrics import binary_metrics, confusion_from_labels, cv_estimate
 from cardiotox.pipeline import (
-    ConsensusPair,
+    PROB_TOLERANCE,
     ForestConfig,
     Outcome,
     PreprocessChain,
+    Stage,
     StagePrediction,
-    SubModel,
     SvmConfig,
     ToxTreePipeline,
-    consensus_predict,
     fit_config,
     herg_rf_space,
     pipeline_predict,
@@ -27,7 +26,7 @@ from cardiotox.pipeline import (
 from cardiotox.preprocess import fit_pca, fit_scaler, transform_scaler
 from cardiotox.resample import ResamplePlan, Strategy, balance
 
-from conftest import labeled, make_blobs
+from conftest import identity_chain, labeled, make_blobs
 
 
 class StubStage:
@@ -57,8 +56,8 @@ def stub_pipeline(flags, probs=None):
     probs = probs or [0.9] * len(flags)
     thresholds = [6.0, 5.0, 4.5][: len(flags)]
     stubs = [StubStage(f, p) for f, p in zip(flags, probs)]
-    stages = [SubModel(f"s{t}", t, stub) for t, stub in zip(thresholds, stubs)]
-    return ToxTreePipeline(PreprocessChain(), stages), stubs
+    stages = [Stage(t, [f"s{t}"], [stub]) for t, stub in zip(thresholds, stubs)]
+    return ToxTreePipeline(identity_chain(), stages), stubs
 
 
 class TestRouting:
@@ -83,8 +82,8 @@ class TestRouting:
         assert [s.calls for s in stubs] == [1, 1, 0]
 
     def test_threshold_stubs_reproduce_assign_class(self, rng):
-        stages = [SubModel(f"t{t}", t, ThresholdStage(t)) for t in (6.0, 5.0, 4.5)]
-        pipeline = ToxTreePipeline(PreprocessChain(), stages)
+        stages = [Stage(t, [f"t{t}"], [ThresholdStage(t)]) for t in (6.0, 5.0, 4.5)]
+        pipeline = ToxTreePipeline(identity_chain(), stages)
         label_for = {
             "strong": Outcome.STRONG_BLOCKER,
             "moderate": Outcome.MODERATE_BLOCKER,
@@ -100,69 +99,50 @@ class TestRouting:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_array_row_rejects_non_finite_values(self, bad):
-        stages = [SubModel("s", 6.0, StubStage(True))]
-        named = ToxTreePipeline(PreprocessChain(whitelist=["f1", "f2", "f3"]), stages)
+        stages = [Stage(6.0, ["s"], [StubStage(True)])]
+        named = ToxTreePipeline(identity_chain("f1", "f2", "f3"), stages)
         with pytest.raises(InvalidInputError, match="missing feature 'f2'"):
             pipeline_predict(named, np.array([1.0, bad, bad]))
-        unnamed = ToxTreePipeline(PreprocessChain(), stages)
-        with pytest.raises(InvalidInputError, match="missing feature 1"):
-            pipeline_predict(unnamed, np.array([1.0, bad, 3.0]))
 
     def test_consensus_inconclusive_outcome(self):
-        pair = ConsensusPair(
-            SubModel("a", 4.5, StubStage(True, 0.7)),
-            SubModel("b", 4.5, StubStage(False, 0.7)),
-        )
-        pipeline = ToxTreePipeline(PreprocessChain(), [SubModel("s6", 6.0, StubStage(False)), pair])
+        pair = Stage(4.5, ["a", "b"], [StubStage(True, 0.7), StubStage(False, 0.7)])
+        pipeline = ToxTreePipeline(identity_chain(), [Stage(6.0, ["s6"], [StubStage(False)]), pair])
         outcome = pipeline_predict(pipeline, np.array([0.0]))
         assert outcome.outcome is Outcome.INCONCLUSIVE
         assert outcome.probability is None
         assert outcome.stage_name == "consensus(a,b)"
 
 
+def consensus(a: StubStage, b: StubStage) -> Stage:
+    return Stage(4.5, ["a", "b"], [a, b])
+
+
 class TestConsensus:
     def test_agreement_takes_max_probability(self):
-        pair = ConsensusPair(SubModel("a", 4.5, StubStage(True, 0.9)), SubModel("b", 4.5, StubStage(True, 0.7)))
-        decision = consensus_predict(pair, np.zeros(1))
+        decision = consensus(StubStage(True, 0.9), StubStage(True, 0.7)).predict(np.zeros(1))
         assert decision == StagePrediction(True, 0.9)
 
     def test_disagreement_higher_probability_wins(self):
-        pair = ConsensusPair(SubModel("a", 4.5, StubStage(True, 0.8)), SubModel("b", 4.5, StubStage(False, 0.6)))
-        decision = consensus_predict(pair, np.zeros(1))
+        decision = consensus(StubStage(True, 0.8), StubStage(False, 0.6)).predict(np.zeros(1))
         assert decision.blocker is True and decision.probability == 0.8
 
     def test_tied_disagreement_is_inconclusive(self):
-        pair = ConsensusPair(SubModel("a", 4.5, StubStage(True, 0.7)), SubModel("b", 4.5, StubStage(False, 0.7)))
-        assert consensus_predict(pair, np.zeros(1)) is None
+        assert consensus(StubStage(True, 0.7), StubStage(False, 0.7)).predict(np.zeros(1)) is None
 
     def test_identical_members_never_inconclusive(self, rng):
         for _ in range(20):
             blocker = bool(rng.integers(0, 2))
             prob = float(rng.uniform(0.5, 1.0))
             stub = StubStage(blocker, prob)
-            pair = ConsensusPair(SubModel("a", 4.5, stub), SubModel("b", 4.5, stub))
-            decision = consensus_predict(pair, np.zeros(1))
+            decision = consensus(stub, stub).predict(np.zeros(1))
             assert decision is not None
             assert decision == StagePrediction(blocker, prob)
 
     def test_tolerance_window(self):
-        pair = ConsensusPair(
-            SubModel("a", 4.5, StubStage(True, 0.700000001)),
-            SubModel("b", 4.5, StubStage(False, 0.7)),
-            prob_tolerance=1e-6,
-        )
-        assert consensus_predict(pair, np.zeros(1)) is None
-
-    def test_mismatched_thresholds_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ConsensusPair(SubModel("a", 5.0, StubStage(True)), SubModel("b", 4.5, StubStage(True)))
-
-    @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
-    def test_tolerance_below_zero_or_nan_rejected(self, tolerance):
-        # A NaN window would never hold a tie, so ties would go to member b.
-        with pytest.raises(InvalidInputError, match="prob_tolerance"):
-            ConsensusPair(SubModel("a", 4.5, StubStage(True, 0.7)), SubModel("b", 4.5, StubStage(False, 0.7)),
-                          prob_tolerance=tolerance)
+        inside = consensus(StubStage(True, 0.7 + PROB_TOLERANCE / 2), StubStage(False, 0.7))
+        assert inside.predict(np.zeros(1)) is None
+        outside = consensus(StubStage(True, 0.7 + 2 * PROB_TOLERANCE), StubStage(False, 0.7))
+        assert outside.predict(np.zeros(1)) == StagePrediction(True, 0.7 + 2 * PROB_TOLERANCE)
 
     def test_feature_dim_mismatch_rejected(self, rng):
         x1, y1 = make_blobs(rng, [[0], [4]], 20)
@@ -170,32 +150,70 @@ class TestConsensus:
         m1 = forest_fit(labeled(x1, y1, ("blocker", "non-blocker")), 3, seed=0)
         m2 = forest_fit(labeled(x2, y2, ("blocker", "non-blocker")), 3, seed=0)
         with pytest.raises(InvalidInputError, match="feature"):
-            ConsensusPair(SubModel("a", 4.5, m1), SubModel("b", 4.5, m2))
+            Stage(4.5, ["a", "b"], [m1, m2])
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            pytest.param((True, 0.9), (True, 0.7), StagePrediction(True, 0.9), id="agree-blocker-a-surer"),
+            pytest.param((False, 0.6), (False, 0.8), StagePrediction(False, 0.8), id="agree-non-blocker-b-surer"),
+            pytest.param((True, 0.75), (True, 0.75), StagePrediction(True, 0.75), id="agree-equal"),
+            pytest.param((True, 0.8), (False, 0.6), StagePrediction(True, 0.8), id="disagree-a-surer"),
+            pytest.param((True, 0.55), (False, 0.95), StagePrediction(False, 0.95), id="disagree-b-surer"),
+            pytest.param((True, 0.7), (False, 0.7), None, id="tie"),
+            pytest.param((False, 0.6), (True, 0.6 + PROB_TOLERANCE / 4), None, id="tie-within-tolerance"),
+        ],
+    )
+    def test_rule(self, a, b, expected):
+        stub_a, stub_b = StubStage(*a), StubStage(*b)
+        assert consensus(stub_a, stub_b).predict(np.zeros(1)) == expected
+        assert stub_a.calls == stub_b.calls == 1
+
+    def test_one_member_passes_its_prediction_through(self, rng):
+        x, y = make_blobs(rng, [[0, 0], [2, 2]], 30, scale=1.0)
+        forest = forest_fit(labeled(x, y, ("blocker", "non-blocker")), 5, seed=0)
+        svm = svm_fit(x, np.where(y == 0, 1.0, -1.0), KernelSpec("rbf"), 1.0)
+        for model in (forest, svm, StubStage(True, 0.625), StubStage(False, 0.5)):
+            stage = Stage(6.0, ["only"], [model])
+            assert stage.name == "only"
+            for row in x[:10]:
+                got, want = stage.predict(row), pipeline_module._stage_predict(model, row)
+                assert got.blocker is want.blocker
+                assert np.float64(got.probability).tobytes() == np.float64(want.probability).tobytes()
+
+    @pytest.mark.parametrize(
+        "names, n_models",
+        [([], 0), (["a", "b", "c"], 3), (["a"], 2), (["a", "b"], 1)],
+        ids=["no-model", "three-models", "fewer-names", "more-names"],
+    )
+    def test_member_and_name_counts_checked(self, names, n_models):
+        with pytest.raises(InvalidInputError, match="one or two models, each named"):
+            Stage(4.5, names, [StubStage(True) for _ in range(n_models)])
 
 
 class TestValidation:
     def test_threshold_order_enforced(self):
-        stages = [SubModel("a", 5.0, StubStage(False)), SubModel("b", 6.0, StubStage(False))]
+        stages = [Stage(5.0, ["a"], [StubStage(False)]), Stage(6.0, ["b"], [StubStage(False)])]
         with pytest.raises(InvalidInputError, match="descending"):
-            ToxTreePipeline(PreprocessChain(), stages)
+            ToxTreePipeline(identity_chain(), stages)
 
     def test_duplicate_thresholds_rejected(self):
-        stages = [SubModel("a", 5.0, StubStage(False)), SubModel("b", 5.0, StubStage(False))]
+        stages = [Stage(5.0, ["a"], [StubStage(False)]), Stage(5.0, ["b"], [StubStage(False)])]
         with pytest.raises(InvalidInputError, match="descending"):
-            ToxTreePipeline(PreprocessChain(), stages)
+            ToxTreePipeline(identity_chain(), stages)
 
     def test_stage_model_outside_the_two_families_rejected(self):
         # Saved, such a stage would write a bundle that cannot be loaded or routed.
         with pytest.raises(InvalidInputError, match="unsupported stage model type MlpModel"):
-            SubModel("6mlp", 6.0, mlp_init([1, 4, 2], "relu", seed=0))
+            Stage(6.0, ["6mlp"], [mlp_init([1, 4, 2], "relu", seed=0)])
 
     def test_noncanonical_threshold_rejected(self):
         with pytest.raises(InvalidInputError):
-            SubModel("a", 5.5, StubStage(False))
+            Stage(5.5, ["a"], [StubStage(False)])
 
     def test_empty_stages_rejected(self):
         with pytest.raises(InvalidInputError):
-            ToxTreePipeline(PreprocessChain(), [])
+            ToxTreePipeline(identity_chain(), [])
 
     def test_stage_width_must_match_pca_output(self, rng):
         x = rng.normal(size=(60, 5))
@@ -207,10 +225,10 @@ class TestValidation:
         good = svm_fit(scaled @ pca.components, y, KernelSpec("rbf"), 1.0)
         wrong = svm_fit(scaled[:, : k - 1], y, KernelSpec("rbf"), 1.0)
         chain = PreprocessChain([f"f{i}" for i in range(5)], scaler, pca)
-        pipeline = ToxTreePipeline(chain, [SubModel("6svm", 6.0, good), SubModel("4o5svm", 4.5, good)])
+        pipeline = ToxTreePipeline(chain, [Stage(6.0, ["6svm"], [good]), Stage(4.5, ["4o5svm"], [good])])
         assert isinstance(pipeline_predict(pipeline, x[0]).outcome, Outcome)
         with pytest.raises(InvalidInputError, match=f"expects {k - 1} features, preprocessing outputs {k}"):
-            ToxTreePipeline(chain, [SubModel("6svm", 6.0, good), SubModel("4o5svm", 4.5, wrong)])
+            ToxTreePipeline(chain, [Stage(6.0, ["6svm"], [good]), Stage(4.5, ["4o5svm"], [wrong])])
 
 
 class TestPreprocessChain:
@@ -225,11 +243,15 @@ class TestPreprocessChain:
             assert np.array_equal(rows, transform_scaler(fit_scaler(x), x))
         assert np.array_equal(chain.apply_row(x[0]), chain.apply_matrix(x[:1])[0])
 
-    def test_whitelist_must_match_pca_without_a_scaler(self, rng):
-        pca = fit_pca(rng.normal(size=(30, 3)), 1.0)
-        PreprocessChain(["a", "b", "c"], None, pca)
-        with pytest.raises(InvalidInputError, match="whitelist gives 4 columns, pca expects 3"):
-            PreprocessChain(["a", "b", "c", "d"], None, pca)
+    def test_each_part_reads_the_columns_the_one_before_writes(self, rng):
+        x = rng.normal(size=(30, 3))
+        scaler = fit_scaler(x)
+        pca = fit_pca(transform_scaler(scaler, x), 1.0)
+        PreprocessChain(["a", "b", "c"], scaler, pca)
+        with pytest.raises(InvalidInputError, match="whitelist gives 4 columns, scaler expects 3"):
+            PreprocessChain(["a", "b", "c", "d"], scaler, pca)
+        with pytest.raises(InvalidInputError, match="scaler gives 2 columns, pca expects 3"):
+            PreprocessChain(["a", "b"], fit_scaler(x[:, :2]), pca)
 
     @pytest.mark.parametrize("energy", [None, 0.9])
     def test_fit_without_feature_columns_rejected(self, energy):
@@ -244,11 +266,11 @@ class TestBuilders:
         scaler = fit_scaler(x)
         pca = fit_pca(transform_scaler(scaler, x), 1.0)
         stages = [
-            SubModel("6svm", 6.0, StubStage(False)),
-            SubModel("5svm-ovrs", 5.0, StubStage(True, 0.8)),
-            SubModel("4o5svm", 4.5, StubStage(False)),
+            Stage(6.0, ["6svm"], [StubStage(False)]),
+            Stage(5.0, ["5svm-ovrs"], [StubStage(True, 0.8)]),
+            Stage(4.5, ["4o5svm"], [StubStage(False)]),
         ]
-        pipeline = ToxTreePipeline(PreprocessChain(None, scaler, pca), stages)
+        pipeline = ToxTreePipeline(PreprocessChain(["f0", "f1", "f2"], scaler, pca), stages)
         outcome = pipeline_predict(pipeline, x[0])
         assert outcome.outcome is Outcome.MODERATE_BLOCKER
 

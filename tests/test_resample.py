@@ -226,7 +226,3 @@ class TestBalance:
         dataset = labeled(rng.normal(size=(9, 2)), np.repeat([0, 1, 2], 3))
         with pytest.raises(InvalidInputError):
             balance(dataset, ResamplePlan(Strategy.OVER_SAMPLE))
-
-    def test_plan_validation(self):
-        with pytest.raises(InvalidInputError):
-            ResamplePlan(k_neighbors=0)
