@@ -322,10 +322,13 @@ def cmd_train(args) -> int:
         names, models = [], []
         for strategy in strategies:
             plan = ResamplePlan(strategy, seed=args.seed + int(threshold * 10))
-            train_ds = balance(stage_ds, plan)
-            tuning = tune_grid(target.grids[args.grid], stage_ds, k=args.folds, seed=args.seed, plan=plan)
-            best = tuning.best.config
             name = _stage_name(threshold, target.family, strategy)
+            train_ds = balance(stage_ds, plan)
+            try:
+                tuning = tune_grid(target.grids[args.grid], stage_ds, k=args.folds, seed=args.seed, plan=plan)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"stage {name}: {exc}") from exc
+            best = tuning.best.config
             for warning in tuning.fold_warnings:
                 print(f"note: stage {name}: {warning}", file=sys.stderr)
             report_rows.extend(_cv_report_rows(threshold, name, strategy, train_ds.class_counts(), tuning))
@@ -409,8 +412,13 @@ def cmd_evaluate(args) -> int:
     _, _, pic50, _ = _aligned_data(table, compounds, require_exact=True)
 
     # Predicted potency class per row; None for an inconclusive outcome.
-    rows = _whitelist_rows(pipeline, table)
-    predicted = [OUTCOME_CLASS.get(pipeline_predict(pipeline, row).outcome) for row in rows]
+    predicted = []
+    for key, row in zip(table.row_keys, _whitelist_rows(pipeline, table)):
+        try:
+            outcome = pipeline_predict(pipeline, row).outcome
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{exc} in compound {key!r}") from exc
+        predicted.append(OUTCOME_CLASS.get(outcome))
     truth_labels = [ds.assign_class(p).label_index for p in pic50]
     pred_labels = [mx.INCONCLUSIVE if c is None else c.label_index for c in predicted]
     q_multi = mx.multiclass_accuracy(pred_labels, truth_labels)

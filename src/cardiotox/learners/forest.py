@@ -43,8 +43,9 @@ class Tree:
     none are stored: a split at node i has its left child at i + 1 and its
     right child just past the left subtree. ``left`` and ``right`` (-1 at
     leaves) are derived on construction by one stack walk, which also proves
-    the arrays describe one complete binary tree. The arrays are read-only
-    once the tree is built: prediction walks copies taken at construction.
+    the arrays describe one complete binary tree. Trees are read for
+    inspection and for fitting; forests predict by walking their whole node
+    table (see ``ForestModel``).
     """
 
     feature: np.ndarray
@@ -86,30 +87,12 @@ class Tree:
         self.left = np.full(n, -1)
         self.left[splits] = splits + 1
         self.right = np.array(right)
-        # The per-row walk reads full-length plain lists (numpy scalar
-        # indexing is slower), and each leaf's output (winning class or mean)
-        # is derived once here.
-        threshold = np.zeros(n)
-        threshold[splits] = self.threshold
-        leaf_output = self.value.argmax(axis=1) if self.value.ndim == 2 else self.value
-        output = np.zeros(n, dtype=leaf_output.dtype)
-        output[leaves] = leaf_output
-        self._nodes = (self.feature.tolist(), threshold.tolist(), self.left.tolist(), right)
-        self._output = output.tolist()
 
     def depth(self) -> int:
         depth = np.zeros(len(self.feature), dtype=int)
         for i in np.flatnonzero(self.feature >= 0):  # parents precede children
             depth[self.left[i]] = depth[self.right[i]] = depth[i] + 1
         return int(depth.max())
-
-    def predict(self, row: list[float]):
-        """Winning class (classifier) or mean (regressor) of the leaf ``row`` reaches."""
-        feature, threshold, left, right = self._nodes
-        node = 0
-        while feature[node] >= 0:
-            node = left[node] if row[feature[node]] <= threshold[node] else right[node]
-        return self._output[node]
 
 
 def _gini_from_counts(counts: np.ndarray, total: int) -> float:
@@ -470,6 +453,11 @@ class ForestModel:
     tree checks its own slice. Classifiers (``n_classes`` set) vote over
     class indices with Gini trees; regressors (``n_classes`` None) average
     squared-error trees' leaf means.
+
+    Predictions walk one table derived on construction, held as plain lists
+    (numpy scalar indexing is slower): each node's feature, cut, right child
+    numbered in the whole table (a split's left child is the next node) and
+    leaf output (winning class or mean), plus each tree's root.
     """
 
     feature: np.ndarray
@@ -514,6 +502,15 @@ class ForestModel:
             Tree(self.feature[a:b], self.threshold[c:d], self.value[e:f])
             for a, b, c, d, e, f in zip(nodes, nodes[1:], splits, splits[1:], leaves, leaves[1:])
         ]
+        is_split = self.feature >= 0
+        cut = np.zeros(len(self.feature))
+        cut[is_split] = self.threshold
+        right = np.concatenate([tree.right for tree in self.trees]) + np.repeat(nodes[:-1], self.tree_nodes)
+        output = np.zeros(len(self.feature), dtype=float if self.n_classes is None else np.int64)
+        output[~is_split] = self.value if self.n_classes is None else self.value.argmax(axis=1)
+        self._walk = (
+            self.feature.tolist(), cut.tolist(), np.where(is_split, right, -1).tolist(), output.tolist(), nodes[:-1]
+        )
 
     @classmethod
     def from_trees(cls, trees, max_depth: int | None, features_per_split: int, seed: int, n_features: int,
@@ -624,24 +621,37 @@ def forest_regress_fit(
     return _fit_forest(x, y, None, n_estimators, max_depth, seed, features_per_split, min_leaf, threads)
 
 
-def _row_values(model: ForestModel, row: np.ndarray) -> list[float]:
+def _leaf_outputs(model: ForestModel, matrix: np.ndarray) -> np.ndarray:
+    """The output of the leaf each row of ``matrix`` reaches in each tree,
+    as a trees x rows array: a class index (classifier) or a mean (regressor).
+    Each row takes the same path whatever rows come with it."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] != model.n_features:
+        raise InvalidInputError(f"matrix has shape {matrix.shape}, model expects (rows, {model.n_features})")
+    feature, cut, right, output, roots = model._walk
+    leaves = []
+    for row in matrix.tolist():
+        for node in roots:
+            while feature[node] >= 0:
+                node = node + 1 if row[feature[node]] <= cut[node] else right[node]
+            leaves.append(output[node])
+    dtype = float if model.n_classes is None else np.int64
+    return np.array(leaves, dtype=dtype).reshape(len(matrix), len(roots)).T
+
+
+def _one_row(model: ForestModel, row: np.ndarray) -> np.ndarray:
+    """``row`` as a one-row matrix."""
     row = np.asarray(row, dtype=float)
     if row.shape != (model.n_features,):
-        raise InvalidInputError(
-            f"row has {row.shape} shape, model expects ({model.n_features},)"
-        )
-    return row.tolist()
+        raise InvalidInputError(f"row has shape {row.shape}, model expects ({model.n_features},)")
+    return row[None, :]
 
 
 def forest_vote_counts(model: ForestModel, row: np.ndarray) -> np.ndarray:
     """Integer votes per class; sums to n_estimators exactly."""
     if model.n_classes is None:
         raise InvalidInputError("vote counts need a classification forest")
-    values = _row_values(model, row)
-    votes = [0] * model.n_classes
-    for tree in model.trees:
-        votes[tree.predict(values)] += 1
-    return np.array(votes)
+    return np.bincount(_leaf_outputs(model, _one_row(model, row))[:, 0], minlength=model.n_classes)
 
 
 def forest_predict_proba(model: ForestModel, row: np.ndarray) -> np.ndarray:
@@ -655,8 +665,8 @@ def forest_predict(model: ForestModel, row: np.ndarray) -> int:
 
 
 def forest_predict_many(model: ForestModel, matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    return np.array([forest_predict(model, r) for r in matrix], dtype=int)
+    """``forest_predict`` of every row of ``matrix``."""
+    return forest_prefix_votes(model, matrix)[-1].argmax(axis=1)
 
 
 def forest_prefix_votes(model: ForestModel, matrix: np.ndarray) -> np.ndarray:
@@ -668,16 +678,13 @@ def forest_prefix_votes(model: ForestModel, matrix: np.ndarray) -> np.ndarray:
     forest's first n trees on row r, without building that forest."""
     if model.n_classes is None:
         raise InvalidInputError("vote counts need a classification forest")
-    rows = [_row_values(model, row) for row in np.asarray(matrix, dtype=float)]
-    classes = np.array([[tree.predict(row) for row in rows] for tree in model.trees], dtype=np.int64)
-    return (classes.reshape(model.n_estimators, len(rows), 1) == np.arange(model.n_classes)).cumsum(axis=0)
+    return (_leaf_outputs(model, matrix)[:, :, None] == np.arange(model.n_classes)).cumsum(axis=0)
 
 
 def forest_regress_predict(model: ForestModel, row: np.ndarray) -> float:
     if model.n_classes is not None:
         raise InvalidInputError("regression predictions need a regression forest")
-    values = _row_values(model, row)
-    leaf_means = np.array([tree.predict(values) for tree in model.trees])
+    leaf_means = _leaf_outputs(model, _one_row(model, row))[:, 0]
     if np.all(leaf_means == leaf_means[0]):
         return float(leaf_means[0])
     return float(leaf_means.mean())

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
+from ..preprocess import row_products
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "sigmoid")
 
@@ -76,18 +77,22 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return (a * a).sum(axis=1)
 
 
-def _kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
-    """K(a_i, b_j) for every row pair under a resolved ``spec``; ``b_sq`` is
-    ``_sq_norms(b)`` when the caller keeps it (the RBF kernel reads it)."""
+def _kernel(spec: KernelSpec, dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """K(a_i, b_j) under a resolved ``spec`` from the inner products
+    ``dots`` = a_i . b_j and the rows' squared norms (the RBF kernel reads them)."""
     if spec.kind == "linear":
-        return a @ b.T
+        return dots
     if spec.kind == "poly":
-        return (spec.gamma * (a @ b.T) + spec.coef0) ** spec.degree
+        return (spec.gamma * dots + spec.coef0) ** spec.degree
     if spec.kind == "rbf":
-        bb = _sq_norms(b) if b_sq is None else b_sq
-        sq = np.maximum(_sq_norms(a)[:, None] + bb[None, :] - 2.0 * (a @ b.T), 0.0)
+        sq = np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * dots, 0.0)
         return np.exp(-spec.gamma * sq)
-    return np.tanh(spec.gamma * (a @ b.T) + spec.coef0)
+    return np.tanh(spec.gamma * dots + spec.coef0)
+
+
+def _kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K(a_i, b_j) for every row pair, from one matrix product ``a @ b.T``."""
+    return _kernel(spec, a @ b.T, _sq_norms(a), _sq_norms(b))
 
 
 @dataclass
@@ -236,6 +241,9 @@ def svm_decision(model: SvmModel, row: np.ndarray) -> float:
 
 
 def svm_decision_many(model: SvmModel, matrix: np.ndarray) -> np.ndarray:
+    """``svm_decision`` of every row of ``matrix``, bit for bit: each row's
+    inner products and its sum over the support vectors are one-row products
+    (see ``preprocess.row_products``)."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != model.n_features:
         raise InvalidInputError(
@@ -243,8 +251,9 @@ def svm_decision_many(model: SvmModel, matrix: np.ndarray) -> np.ndarray:
         )
     if model.support_vectors.shape[0] == 0:
         return np.full(matrix.shape[0], model.bias)
-    k = _kernel_matrix(model.kernel, matrix, model.support_vectors, model._sv_sq_norms)
-    return k @ model.dual_coefs + model.bias
+    dots = row_products(matrix, model.support_vectors.T)
+    k = _kernel(model.kernel, dots, _sq_norms(matrix), model._sv_sq_norms)
+    return row_products(k, model.dual_coefs) + model.bias
 
 
 def svm_predict(model: SvmModel, row: np.ndarray) -> int:

@@ -416,7 +416,13 @@ def tune_grid(
         train_ds = dataset.subset(train_idx)
         if plan.strategy is not Strategy.ORIGINAL:
             fold_plan = replace(plan, seed=plan.seed + 7919 * (fold_idx + 1))
-            train_ds = balance(train_ds, fold_plan)
+            try:
+                train_ds = balance(train_ds, fold_plan)
+            except InvalidInputError as exc:
+                notes = "".join(f"; {warning}" for warning in folds.warnings)
+                raise InvalidInputError(
+                    f"CV fold {fold_idx + 1} of {k}: cannot resample its training rows: {exc}{notes}"
+                ) from exc
         val_ds = dataset.subset(val_idx)
         forests = _largest_forests(space, train_ds, seed)
         # Deepest tree, and votes on each validation row, of each forest's first i + 1 trees.

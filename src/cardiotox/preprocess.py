@@ -56,6 +56,17 @@ def transform_scaler(params: ScalerParams, matrix: np.ndarray) -> np.ndarray:
     return (matrix - params.mean) / params.std
 
 
+def row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D ``a``, one row of ``a`` at a time.
+
+    Each row goes through the BLAS call that a one-row product makes, so a
+    row's result is the same bit for bit whatever rows come with it. A
+    many-row product lets BLAS block its sums, and its rows can differ from
+    one-row products in the last bits.
+    """
+    return (a[:, None, :] @ b)[:, 0]
+
+
 def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix (numpy's ``eigh``).
 
@@ -142,7 +153,7 @@ def fit_pca(matrix: np.ndarray, energy: float = 0.90) -> PcaModel:
 
 
 def project(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
-    """Y = (X - mean) @ components."""
+    """Y = (X - mean) @ components, row by row (see ``row_products``)."""
     matrix = np.asarray(matrix, dtype=float)
     single = matrix.ndim == 1
     if single:
@@ -151,5 +162,5 @@ def project(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"matrix has {matrix.shape[1]} columns, PCA model expects {model.n_features}"
         )
-    out = (matrix - model.mean) @ model.components
+    out = row_products(matrix - model.mean, model.components)
     return out[0] if single else out

@@ -121,7 +121,7 @@ def balance(dataset: LabeledDataset, plan: ResamplePlan) -> LabeledDataset:
         n_syn = maj_rows.shape[0] - min_rows.shape[0]
         k = min(K_NEIGHBORS, min_rows.shape[0] - 1)
         if k < 1:
-            raise InvalidInputError("minority class too small for SMOTE")
+            raise InvalidInputError(f"minority class too small for SMOTE ({min_rows.shape[0]} row, needs 2)")
         synthetic = smote(min_rows, n_syn, k, plan.seed)
         matrix = np.vstack([dataset.matrix, synthetic])
         labels = np.concatenate([dataset.labels, np.full(n_syn, minority_label, dtype=int)])

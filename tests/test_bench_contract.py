@@ -1,14 +1,20 @@
 """What the benchmark (perfbench/) needs from the package: its span recorder
-wraps public functions by name and reads fitted forests, and its per-stage
-counters name the stages train builds. A rename here would otherwise only
-show as a crash of a traced benchmark run, or as counters silently at zero."""
+wraps public functions by name and reads fitted forests, its per-stage
+counters name the stages train builds, and its coverage check needs
+predict and evaluate to call the per-row prediction functions. A rename or a
+lost call here would otherwise only show as a crash or a failed check of a
+traced benchmark run, or as counters silently at zero."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cardiotox import cli
@@ -16,6 +22,7 @@ from cardiotox.learners import forest_fit
 from cardiotox.pipeline import Stage
 
 from conftest import labeled, make_blobs
+from test_cli import synthetic_problem, write_compounds, write_descriptors
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 RUN_PATH = SPANS_PATH.with_name("run.py")
@@ -70,13 +77,19 @@ class _Member:
         raise AssertionError("not called")
 
 
-def test_benchmark_stage_counters_name_the_stages_train_builds():
-    # perfbench/run.py's STAGES, read without running the module.
-    (stages,) = [
-        ast.literal_eval(node.value)
+def bench_assignment(name: str):
+    """The value perfbench/run.py assigns to ``name`` at module level, as an
+    ast node, read without running the module."""
+    (value,) = [
+        node.value
         for node in ast.parse(RUN_PATH.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["STAGES"]
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
     ]
+    return value
+
+
+def test_benchmark_stage_counters_name_the_stages_train_builds():
+    stages = ast.literal_eval(bench_assignment("STAGES"))
     # What cmd_train names each stage of every target's default architecture (no --resample).
     built = [
         Stage(threshold, [cli._stage_name(threshold, target.family, s) for s in strategies],
@@ -85,3 +98,72 @@ def test_benchmark_stage_counters_name_the_stages_train_builds():
         for threshold, strategies in target.sampling.items()
     ]
     assert built == list(stages)
+
+
+# Layers the coverage check needs that only train calls; the other learner and
+# pipeline layers it needs are the prediction path.
+TRAIN_ONLY = {"forest.forest_fit", "svm.svm_fit", "pipeline.tune_grid"}
+
+
+def predict_path_layers() -> dict[str, list[str]]:
+    """Per target, the busy learner and pipeline layers of its perfbench
+    workload (``WORKLOADS`` in perfbench/run.py) that the prediction path
+    must call."""
+    out = {}
+    for call in bench_assignment("WORKLOADS").values:
+        busy = next(ast.literal_eval(kw.value) for kw in call.keywords if kw.arg == "busy")
+        out[ast.literal_eval(call.args[0])] = [
+            name for name in busy if name.split(".")[0] in ("forest", "svm", "pipeline") and name not in TRAIN_ONLY
+        ]
+    return out
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    """A quick bundle of each target, with the holdout files to score."""
+    root = tmp_path_factory.mktemp("bench-contract")
+    keys, matrix, pic50 = synthetic_problem(np.random.default_rng(5))
+    files = {}
+    for part, rows in (("train", slice(0, 80)), ("holdout", slice(80, None))):
+        files[part] = (root / f"{part}-d.csv", root / f"{part}-c.csv")
+        write_descriptors(files[part][0], keys[rows], matrix[rows], ["f0", "f1", "f2"])
+        write_compounds(files[part][1], keys[rows], pic50[rows])
+    out = {}
+    for target in cli._TARGETS:
+        assert cli.main(["train", "--target", target, "--grid", "quick", "--folds", "3", "--descriptors",
+                         str(files["train"][0]), "--compounds", str(files["train"][1]),
+                         "--out", str(root / target)]) == 0
+        out[target] = root / target / f"{target}-toxtree.toxtree.json"
+    return out, files["holdout"]
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("target", sorted(cli._TARGETS))
+def test_prediction_commands_call_the_layers_the_benchmark_traces(bundles, tmp_path, monkeypatch, target, command):
+    layers = predict_path_layers()[target]
+    assert "pipeline.pipeline_predict" in layers
+    modules = {f"{layer}.{func}": module for layer, module, func, _ in load_spans().TARGETS}
+    calls = Counter()
+    package = [m for n, m in sorted(sys.modules.items()) if n == "cardiotox" or n.startswith("cardiotox.")]
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in layers:
+        original = getattr(importlib.import_module(modules[name]), name.split(".")[1])
+        wrapper = counted(name, original)
+        # Every module attribute bound to the function, as the span recorder wraps them.
+        for module in package:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    bundle_paths, (descriptors, compounds) = bundles
+    argv = [command, "--bundle", str(bundle_paths[target]), "--descriptors", str(descriptors)]
+    if command == "evaluate":
+        argv += ["--compounds", str(compounds)]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert {name: calls[name] for name in layers if not calls[name]} == {}

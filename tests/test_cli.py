@@ -373,6 +373,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "note: stage 6rf-ovrs: class 'blocker' has 15 samples, fewer than k=20 folds" in err
 
+    def test_fold_too_small_to_resample_names_stage_and_fold(self, tmp_path, capsys):
+        # Two blockers at PIC50 6 over 3 folds: some fold trains on one, which SMOTE cannot over-sample.
+        keys, matrix, pic50 = synthetic_problem(np.random.default_rng(3), per_class=10)
+        keep = np.concatenate([np.flatnonzero(pic50 >= 6.0)[:2], np.flatnonzero(pic50 < 6.0)])
+        write_descriptors(tmp_path / "d.csv", [keys[i] for i in keep], matrix[keep], ["f0", "f1", "f2"])
+        write_compounds(tmp_path / "c.csv", [keys[i] for i in keep], pic50[keep])
+        code = main(["train", "--descriptors", str(tmp_path / "d.csv"), "--compounds", str(tmp_path / "c.csv"),
+                     "--target", "herg", "--grid", "quick", "--folds", "3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 6rf-ovrs: CV fold ")
+        assert " of 3: cannot resample its training rows: minority class too small for SMOTE (1 row, needs 2)" in err
+        assert "class 'blocker' has 2 samples, fewer than k=3 folds" in err
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["train", "--descriptors", "x.csv"]) == 1  # missing --compounds
 
@@ -775,6 +790,19 @@ class TestEvaluate:
         assert code == 0
         bundle = json.loads((tmp_path / "o" / "herg-toxtree.toxtree.json").read_text())
         assert bundle["payload"]["preprocessing"]["whitelist"] == ["f0", "f1"]
+
+    def test_missing_feature_cell_names_the_compound(self, trained, tmp_path, capsys):
+        desc = tmp_path / "holey.csv"
+        rows = trained["descriptors"].read_text().splitlines()
+        name, _, rest = rows[5].partition(",")
+        rows[5] = f"{name},,{rest.partition(',')[2]}"  # blank f0 in one row
+        desc.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        code = main(["evaluate", "--bundle", str(trained["bundle"]), "--descriptors", str(desc),
+                     "--compounds", str(trained["compounds"]), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: missing feature 'f0' in compound {name!r}\n"
+        assert not (out / "metrics.csv").exists()
 
     def test_perfect_pipeline_scores_one(self, tmp_path):
         bundle_path = tmp_path / "stub.toxtree.json"

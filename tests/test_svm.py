@@ -342,5 +342,7 @@ class TestSvmDecision:
         x, y = separable_problem(rng, n=30)
         model = svm_fit(x, y, KernelSpec(kind), C=1.0)
         probe = rng.normal(size=(7, 2))
-        fresh = _kernel_matrix(model.kernel, probe, model.support_vectors) @ model.dual_coefs + model.bias
+        # Each row's kernel from recomputed norms, as its own one-row products.
+        fresh = np.array([(_kernel_matrix(model.kernel, row[None, :], model.support_vectors) @ model.dual_coefs)[0]
+                          for row in probe]) + model.bias
         assert svm_decision_many(model, probe).tobytes() == fresh.tobytes()
