@@ -148,7 +148,8 @@ def _build_parser() -> _Parser:
 def _load_config_file(path: str, known_keys: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with ds.text_stream(path, error=UsageError) as stream:
+            text = stream.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -382,20 +383,28 @@ def _whitelist_rows(pipeline: ToxTreePipeline, table: ds.DescriptorTable) -> np.
     return rows
 
 
+def _routed(pipeline: ToxTreePipeline, table: ds.DescriptorTable):
+    """Each descriptor row's key with its PredictionOutcome, or with the
+    InvalidInputError that stopped the row."""
+    for key, row in zip(table.row_keys, _whitelist_rows(pipeline, table)):
+        try:
+            result = pipeline_predict(pipeline, row)
+        except InvalidInputError as exc:
+            result = exc
+        yield key, result
+
+
 def cmd_predict(args) -> int:
     pipeline = _load_pipeline(args.bundle)
     table = ds.parse_descriptor_csv(args.descriptors)
-    rows = _whitelist_rows(pipeline, table)
     path = _output(args, "predictions.csv")
     errors = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["compound_key", "outcome", "deciding_stage", "stage_probability"])
-        for key, row in zip(table.row_keys, rows):
-            try:
-                result = pipeline_predict(pipeline, row)
-            except InvalidInputError as exc:
-                writer.writerow([key, f"error: {exc}", "", ""])
+        for key, result in _routed(pipeline, table):
+            if isinstance(result, InvalidInputError):
+                writer.writerow([key, f"error: {result}", "", ""])
                 errors += 1
                 continue
             prob = "" if result.probability is None else repr(result.probability)
@@ -411,58 +420,22 @@ def cmd_evaluate(args) -> int:
     # Keys are unique and match exactly, so pic50 follows the descriptor rows.
     _, _, pic50, _ = _aligned_data(table, compounds, require_exact=True)
 
-    # Predicted potency class per row; None for an inconclusive outcome.
     predicted = []
-    for key, row in zip(table.row_keys, _whitelist_rows(pipeline, table)):
-        try:
-            outcome = pipeline_predict(pipeline, row).outcome
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{exc} in compound {key!r}") from exc
-        predicted.append(OUTCOME_CLASS.get(outcome))
-    truth_labels = [ds.assign_class(p).label_index for p in pic50]
-    pred_labels = [mx.INCONCLUSIVE if c is None else c.label_index for c in predicted]
-    q_multi = mx.multiclass_accuracy(pred_labels, truth_labels)
-    confusion = mx.multiclass_confusion(truth_labels, pred_labels, ds.MULTICLASS_NAMES)
-
-    named_counts = []
-    scores = []
-    for stage in pipeline.stages:
-        weakest_blocker = ds.assign_class(stage.threshold)
-        truth = [p >= stage.threshold for p in pic50]
-        # Inconclusive counts as non-blocker at every threshold.
-        pred = [c is not None and c >= weakest_blocker for c in predicted]
-        counts = mx.confusion_from_labels(truth, pred, True)
-        named_counts.append((f"{stage.threshold:g}", counts))
-        scores.append(mx.binary_metrics(counts))
-
-    text_lines = ["binary metrics by threshold", ""]
-    text_lines.append(mx.binary_report_text(named_counts, label_header="threshold").rstrip())
-    text_lines.append("")
-    text_lines.append("threshold  CCR    MCC")
-    for (label, _), m in zip(named_counts, scores):
-        text_lines.append(f"{label:<9}  {mx.format_percent(m.ccr):<5}  {mx.format_percent(m.mcc)}")
-    text_lines.append("")
-    text_lines.append(f"multiclass accuracy: {mx.format_percent(q_multi)}")
-    text_lines.append("")
-    header = list(ds.MULTICLASS_NAMES) + (["inconclusive"] if confusion.has_inconclusive else [])
-    text_lines.append("confusion (rows = truth):")
-    name_width = max(len(n) for n in header + list(ds.MULTICLASS_NAMES)) + 2
-    text_lines.append(" " * name_width + "  ".join(h.rjust(12) for h in header))
-    for i, name in enumerate(ds.MULTICLASS_NAMES):
-        cells = "  ".join(str(int(v)).rjust(12) for v in confusion.counts[i])
-        text_lines.append(name.ljust(name_width) + cells)
-    text = "\n".join(text_lines) + "\n"
+    for key, result in _routed(pipeline, table):
+        if isinstance(result, InvalidInputError):
+            raise InvalidInputError(f"{result} in compound {key!r}") from result
+        cls = OUTCOME_CLASS.get(result.outcome)  # None for Inconclusive
+        predicted.append(mx.INCONCLUSIVE if cls is None else cls.label_index)
+    truth = [ds.assign_class(p).label_index for p in pic50]
+    confusion = mx.multiclass_confusion(truth, predicted, ds.MULTICLASS_NAMES)
+    # A stage's cut-off makes blockers of its class and every stronger one.
+    cutoffs = [(f"{s.threshold:g}", ds.assign_class(s.threshold).label_index + 1) for s in pipeline.stages]
+    text, csv_text = mx.evaluation_report(confusion, cutoffs)
 
     text_path = _output(args, "metrics.txt")
     text_path.write_text(text, encoding="utf-8")
-    csv_lines = ["threshold,AC,CCR,MCC,SN,SP,F1,TP,FN,TN,FP"]
-    for (label, counts), m in zip(named_counts, scores):
-        percents = ",".join(mx.format_percent(v) for v in (m.ac, m.ccr, m.mcc, m.sn, m.sp, m.f1))
-        csv_lines.append(f"{label},{percents},{counts.tp},{counts.fn},{counts.tn},{counts.fp}")
-    csv_lines.append(f"multiclass,{mx.format_percent(q_multi)},,,,,,,,,")
     csv_path = _output(args, "metrics.csv")
-    csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-
+    csv_path.write_text(csv_text, encoding="utf-8")
     print(text, end="")
     print(f"wrote {text_path} and {csv_path}")
     return 0

@@ -13,6 +13,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -348,17 +349,27 @@ def stratified_kfold(dataset: LabeledDataset, k: int, seed: int) -> FoldPlan:
 
 
 @contextlib.contextmanager
-def text_stream(source, mode: str = "r"):
+def text_stream(source, mode: str = "r", error: type[Exception] = ParseError):
     """A caller's open text stream, used as is and never closed here, or a
     path opened as UTF-8 with newline="" (as the csv module needs) and closed
     on exit. Reading skips a leading byte-order mark, as spreadsheet
-    "CSV UTF-8" exports write one; writing adds none."""
+    "CSV UTF-8" exports write one; writing adds none. A path whose bytes are
+    not UTF-8 raises ``error`` naming the file and the first bad byte."""
     if hasattr(source, "read" if mode == "r" else "write"):
         yield source
-    else:
-        encoding = "utf-8-sig" if mode == "r" else "utf-8"
-        with open(os.fspath(source), mode, encoding=encoding, newline="") as stream:
+        return
+    path = os.fspath(source)
+    with open(path, mode, encoding="utf-8-sig" if mode == "r" else "utf-8", newline="") as stream:
+        try:
             yield stream
+        except UnicodeDecodeError as exc:
+            # The decoder reports offsets within the chunk it was reading, so
+            # decode the whole file to find the byte's offset in it.
+            try:
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            raise error(f"{path} is not UTF-8 text: byte offset {exc.start}: {exc.reason}") from None
 
 
 def _raise_bad_cell(feature_names: list[str], row: list[str], lineno: int) -> None:
@@ -431,14 +442,13 @@ def parse_activity_csv(source) -> list[ActivityRecord]:
         reader = csv.DictReader(stream)
         if reader.fieldnames is None:
             raise ParseError("empty activity stream (no header row)", line=1)
-        fields = [f.strip() for f in reader.fieldnames]
-        missing = [c for c in _ACTIVITY_REQUIRED if c not in fields]
+        reader.fieldnames = [f.strip() for f in reader.fieldnames]
+        missing = [c for c in _ACTIVITY_REQUIRED if c not in reader.fieldnames]
         if missing:
             raise ParseError(f"missing required columns: {', '.join(missing)}", line=1)
 
         records: list[ActivityRecord] = []
         for lineno, row in enumerate(reader, start=2):
-            row = {(k.strip() if k else k): v for k, v in row.items()}
             unit_token = (row["unit"] or "").strip().replace("µ", "u").replace("μ", "u")
             unit = _UNIT_ALIASES.get(unit_token.lower())
             if unit is None:
@@ -505,6 +515,7 @@ def parse_compounds_csv(source) -> list[Compound]:
         reader = csv.DictReader(stream)
         if reader.fieldnames is None:
             raise ParseError("empty compound stream (no header row)", line=1)
+        reader.fieldnames = [f.strip() for f in reader.fieldnames]
         required = ("compound_key", "smiles", "pic50")
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:

@@ -155,7 +155,7 @@ def svm_fit(
         raise InvalidInputError("x must be finite")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise InvalidInputError("labels must be coded -1/+1")
-    if np.unique(y).size < 2:
+    if not (np.any(y > 0) and np.any(y < 0)):
         raise InvalidInputError("both classes must be present")
 
     n = x.shape[0]

@@ -1,6 +1,7 @@
 """Evaluation statistics: confusion counts, binary metrics (accuracy,
-sensitivity, specificity, F1, CCR, MCC), multiclass accuracy, regression
-MSE/R2, and cross-validation estimates.
+sensitivity, specificity, F1, CCR, MCC), the multiclass confusion matrix and
+the evaluation reports read off it, regression MSE/R2, and cross-validation
+estimates.
 
 Two F1 variants are reported: ``f1`` is the precision/sensitivity harmonic
 mean (the definition every published table is consistent with) and
@@ -98,19 +99,6 @@ def binary_metrics(c: ConfusionCounts) -> BinaryMetrics:
     return BinaryMetrics(ac, sn, sp, f1, f1_eq11, ccr, mcc)
 
 
-def multiclass_accuracy(predictions: Sequence, truths: Sequence) -> float:
-    """Fraction of exact matches; any non-matching prediction (including an
-    inconclusive sentinel) counts as a miss."""
-    predictions = list(predictions)
-    truths = list(truths)
-    if len(predictions) != len(truths):
-        raise InvalidInputError("predictions and truths must have equal length")
-    if not predictions:
-        raise InvalidInputError("nothing to score")
-    hits = sum(1 for p, t in zip(predictions, truths) if p == t)
-    return hits / len(predictions)
-
-
 @dataclass
 class MulticlassConfusion:
     """Rows are truths, columns predictions; an extra trailing column collects
@@ -127,24 +115,31 @@ class MulticlassConfusion:
         c = len(self.class_names)
         return float(np.trace(self.counts[:, :c])) / total
 
+    def binary(self, k: int) -> ConfusionCounts:
+        """The two-class counts when the first ``k`` classes are positive; an
+        inconclusive prediction is negative."""
+        tp = int(self.counts[:k, :k].sum())
+        fp = int(self.counts[k:, :k].sum())
+        return ConfusionCounts(tp, int(self.counts[:k].sum()) - tp, int(self.counts[k:].sum()) - fp, fp)
+
 
 def multiclass_confusion(
     truths: Sequence[int],
     predictions: Sequence,
     class_names: Sequence[str],
-    inconclusive=INCONCLUSIVE,
 ) -> MulticlassConfusion:
+    """Count (truth, prediction) pairs; a prediction may be INCONCLUSIVE."""
     truths = list(truths)
     predictions = list(predictions)
     if len(truths) != len(predictions):
         raise InvalidInputError("truths and predictions must have equal length")
     c = len(class_names)
-    has_inc = any(p == inconclusive for p in predictions)
+    has_inc = any(p == INCONCLUSIVE for p in predictions)
     counts = np.zeros((c, c + 1 if has_inc else c), dtype=int)
     for t, p in zip(truths, predictions):
         if not 0 <= int(t) < c:
             raise InvalidInputError(f"truth label {t!r} out of range")
-        if p == inconclusive:
+        if p == INCONCLUSIVE:
             counts[int(t), c] += 1
         else:
             if not 0 <= int(p) < c:
@@ -193,8 +188,8 @@ def cv_estimate(fold_metrics: Sequence[float]) -> float:
     return float(sum(fold_metrics) / len(fold_metrics))
 
 
-def format_percent(value, decimals: int = 1) -> str:
-    """Percent with round-half-even at ``decimals`` places.
+def format_percent(value) -> str:
+    """Percent with round-half-even at one decimal place.
 
     Floats go through repr() so the shortest decimal form is what gets
     rounded (0.8685 -> '86.8', not an artifact of binary representation).
@@ -204,39 +199,39 @@ def format_percent(value, decimals: int = 1) -> str:
         pct = value
     else:
         pct = Decimal(repr(float(value))) * 100
-    quantum = Decimal(1).scaleb(-decimals)
-    return str(pct.quantize(quantum, rounding=ROUND_HALF_EVEN))
+    return str(pct.quantize(Decimal("0.1"), rounding=ROUND_HALF_EVEN))
 
 
-_REPORT_COLUMNS = ("AC", "SN", "SP", "F1", "TP", "FN", "TN", "FP")
+def evaluation_report(confusion: MulticlassConfusion, cutoffs: Sequence[tuple[str, int]]) -> tuple[str, str]:
+    """The text and CSV reports of a multiclass confusion matrix.
 
+    Each cut-off is a (label, k) pair scored as ``confusion.binary(k)``; the
+    multiclass accuracy is ``confusion.accuracy()``.
+    """
+    scored = []
+    for label, k in cutoffs:
+        counts = confusion.binary(k)
+        scored.append((label, counts, binary_metrics(counts)))
+    accuracy = format_percent(confusion.accuracy())
 
-def binary_report_rows(named_counts: Sequence[tuple[str, ConfusionCounts]]):
-    """(label, AC, SN, SP, F1, TP, FN, TN, FP) per entry, percents formatted."""
-    rows = []
-    for label, counts in named_counts:
-        m = binary_metrics(counts)
-        rows.append(
-            (
-                label,
-                format_percent(m.ac),
-                format_percent(m.sn),
-                format_percent(m.sp),
-                format_percent(m.f1),
-                str(counts.tp),
-                str(counts.fn),
-                str(counts.tn),
-                str(counts.fp),
-            )
-        )
-    return rows
+    table = [("threshold", "AC", "SN", "SP", "F1", "TP", "FN", "TN", "FP")]
+    table += [(label, *(format_percent(v) for v in (m.ac, m.sn, m.sp, m.f1)), *map(str, (c.tp, c.fn, c.tn, c.fp)))
+              for label, c, m in scored]
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    lines = ["binary metrics by threshold", ""]
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    lines += ["", "threshold  CCR    MCC"]
+    lines += [f"{label:<9}  {format_percent(m.ccr):<5}  {format_percent(m.mcc)}" for label, _, m in scored]
+    lines += ["", f"multiclass accuracy: {accuracy}", "", "confusion (rows = truth):"]
+    header = list(confusion.class_names) + ([INCONCLUSIVE] if confusion.has_inconclusive else [])
+    name_width = max(len(h) for h in header) + 2
+    lines.append(" " * name_width + "  ".join(h.rjust(12) for h in header))
+    for name, row in zip(confusion.class_names, confusion.counts):
+        lines.append(name.ljust(name_width) + "  ".join(str(int(v)).rjust(12) for v in row))
 
-
-def binary_report_text(named_counts: Sequence[tuple[str, ConfusionCounts]], label_header: str = "model") -> str:
-    """Aligned plain-text table in the AC, SN, SP, F1, TP, FN, TN, FP order."""
-    header = (label_header, *_REPORT_COLUMNS)
-    rows = [header] + [tuple(r) for r in binary_report_rows(named_counts)]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    return "\n".join(lines) + "\n"
-
+    csv_lines = ["threshold,AC,CCR,MCC,SN,SP,F1,TP,FN,TN,FP"]
+    for label, c, m in scored:
+        percents = ",".join(format_percent(v) for v in (m.ac, m.ccr, m.mcc, m.sn, m.sp, m.f1))
+        csv_lines.append(f"{label},{percents},{c.tp},{c.fn},{c.tn},{c.fp}")
+    csv_lines.append(f"multiclass,{accuracy},,,,,,,,,")
+    return "\n".join(lines) + "\n", "\n".join(csv_lines) + "\n"

@@ -277,21 +277,20 @@ def save_bundle(
     sink,
     seed: int | None = None,
     fingerprint: str | None = None,
-    created_at: str | None = None,
     hyperparameters: dict | None = None,
 ) -> None:
     """Serialize a model (or whole pipeline) to a versioned JSON bundle.
 
     Explicit metadata arguments win; otherwise metadata carried over from a
-    previous load is reused, falling back to deterministic defaults (the
-    created_at default is a fixed constant so identical models always produce
-    identical bytes).
+    previous load is reused, falling back to deterministic defaults. A new
+    bundle's created_at is the fixed DEFAULT_CREATED_AT, so identical models
+    always produce identical bytes.
     """
     if type(model) not in _TAGS:
         raise BundleError(f"unsupported model type {type(model).__name__}")
     carried = getattr(model, _METADATA_ATTR, None) or {}
     metadata = {
-        "created_at": created_at if created_at is not None else carried.get("created_at", DEFAULT_CREATED_AT),
+        "created_at": carried.get("created_at", DEFAULT_CREATED_AT),
         "seed": seed if seed is not None else carried.get("seed"),
         "fingerprint": fingerprint if fingerprint is not None else carried.get("fingerprint"),
         "hyperparameters": hyperparameters if hyperparameters is not None else carried.get("hyperparameters"),
@@ -321,7 +320,7 @@ def load_bundle(source) -> Any:
     """Restore a model from a bundle; predictions are bit-identical to the
     saved model's. Version mismatches, digests that do not check out, and
     malformed payloads all raise BundleError."""
-    with text_stream(source) as stream:
+    with text_stream(source, error=BundleError) as stream:
         text = stream.read()
     try:
         bundle = json.loads(text, parse_float=_finite, parse_constant=_finite)

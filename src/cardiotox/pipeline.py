@@ -440,9 +440,9 @@ def tune_grid(
                 model = fit_config(config, train_ds, seed)
                 preds = np.where(svm_decision_many(model, val_ds.matrix) >= 0.0, 0, 1)
                 res.converged = model.converged and res.converged is not False
-            res.fold_ac.append(float(np.mean(preds == val_ds.labels)))
-            counts = confusion_from_labels(val_ds.labels == 0, preds == 0, True)
-            res.fold_f1.append(binary_metrics(counts).f1)
+            scores = binary_metrics(confusion_from_labels(val_ds.labels == 0, preds == 0, True))
+            res.fold_ac.append(scores.ac)
+            res.fold_f1.append(scores.f1)
 
     def rank_key(item: tuple[int, ConfigResult]):
         idx, r = item

@@ -903,6 +903,42 @@ class TestEvaluate:
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag, code", [
+    ("curate", "--activities", 2),
+    ("curate", "--key-overrides", 2),
+    ("train", "--whitelist", 2),
+    ("predict", "--descriptors", 2),
+    ("predict", "--bundle", 2),
+    ("evaluate", "--compounds", 2),
+    ("predict", "--config", 1),
+])
+def test_undecodable_input_exits_with_its_code(trained, tmp_path, capsys, command, flag, code):
+    activities = tmp_path / "activities.csv"
+    write_activities(activities, [["c1", "CCO", "1", "IC50", "uM", "", ""]])
+    overrides = tmp_path / "overrides.tsv"
+    overrides.write_text("alias\tc1\n")
+    whitelist = tmp_path / "wl.txt"
+    whitelist.write_text("f0\nf1\n")
+    config = tmp_path / "run.cfg"
+    config.write_text("# settings for a predict run\n")
+    inputs = {
+        "curate": {"--activities": activities, "--key-overrides": overrides},
+        "train": {"--descriptors": trained["descriptors"], "--compounds": trained["compounds"],
+                  "--whitelist": whitelist, "--grid": "quick", "--folds": "2"},
+        "predict": {"--bundle": trained["bundle"], "--descriptors": trained["descriptors"], "--config": config},
+        "evaluate": {"--bundle": trained["bundle"], "--descriptors": trained["descriptors"],
+                     "--compounds": trained["compounds"]},
+    }[command]
+    # A cp1252 spreadsheet export writes "é" as the lone byte 0xE9, which is not UTF-8.
+    data = Path(inputs[flag]).read_bytes()
+    offset = len(data) // 2
+    bad = tmp_path / f"bad-{Path(inputs[flag]).name}"
+    bad.write_bytes(data[:offset] + "é".encode("cp1252") + data[offset:])
+    argv = [command, *(str(v) for item in {**inputs, flag: bad}.items() for v in item), "--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte offset {offset}: invalid continuation byte\n"
+
+
 def test_import_leaves_thread_pool_unloaded():
     # Every command imports the CLI; only a forest fit with --threads > 1
     # needs concurrent.futures (and the logging, queue and traceback it loads).

@@ -416,3 +416,21 @@ def test_inputs_with_a_byte_order_mark(tmp_path):
     activities = tmp_path / "activities.csv"
     activities.write_text(TestParseActivityCsv.HEADER + "c1,CCO,12,IC50,uM\n", encoding="utf-8-sig")
     assert parse_activity_csv(activities)[0].compound_key == "c1"
+
+
+def test_compounds_csv_strips_header_names():
+    from cardiotox.dataset import parse_compounds_csv
+
+    text = "compound_key, smiles , pic50\nc0,C,6.5\n"
+    assert parse_compounds_csv(io.StringIO(text)) == [Compound("c0", "C", 6.5)]
+
+
+def test_undecodable_file_names_its_byte_offset(tmp_path):
+    # Past the first 8 KiB, so that the bad byte lies beyond the decoder's first chunk.
+    rows = "".join(f"c{i},{i}.5\n" for i in range(2000))
+    data = ("Name,f0\n" + rows).encode("utf-8")
+    offset = len(data) - 4
+    path = tmp_path / "descriptors.csv"
+    path.write_bytes(data[:offset] + "é".encode("cp1252") + data[offset:])
+    with pytest.raises(ParseError, match=rf"descriptors\.csv is not UTF-8 text: byte offset {offset}:"):
+        parse_descriptor_csv(path)

@@ -2,21 +2,25 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardiotox.errors import InvalidInputError
 from cardiotox.metrics import (
     INCONCLUSIVE,
     ConfusionCounts,
+    MulticlassConfusion,
     binary_metrics,
-    binary_report_text,
     confusion_from_labels,
     cv_estimate,
+    evaluation_report,
     format_percent,
     mean_squared_error,
-    multiclass_accuracy,
     multiclass_confusion,
     regression_metrics,
 )
+
+CLASSES = ("strong", "moderate", "weak", "non")
 
 
 def pct(x):
@@ -115,21 +119,21 @@ class TestFormatPercent:
 
 class TestMulticlassAccuracy:
     def test_all_correct(self):
-        assert multiclass_accuracy([1, 2, 3], [1, 2, 3]) == 1.0
+        assert multiclass_confusion([1, 2, 3], [1, 2, 3], CLASSES).accuracy() == 1.0
 
     def test_half_correct(self):
-        assert multiclass_accuracy([0, 1, 0, 1], [0, 1, 1, 0]) == 0.5
+        assert multiclass_confusion([0, 1, 1, 0], [0, 1, 0, 1], CLASSES).accuracy() == 0.5
 
     def test_inconclusive_counts_as_miss(self):
-        assert multiclass_accuracy([0, INCONCLUSIVE], [0, 1]) == 0.5
+        assert multiclass_confusion([0, 1], [0, INCONCLUSIVE], CLASSES).accuracy() == 0.5
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            multiclass_accuracy([1], [1, 2])
+            multiclass_confusion([1, 2], [1], CLASSES)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            multiclass_accuracy([], [])
+            multiclass_confusion([], [], CLASSES).accuracy()
 
 
 class TestMulticlassConfusion:
@@ -137,7 +141,7 @@ class TestMulticlassConfusion:
         truths = rng.integers(0, 4, 100)
         preds = rng.integers(0, 4, 100)
         confusion = multiclass_confusion(truths, preds, ("a", "b", "c", "d"))
-        assert confusion.accuracy() == pytest.approx(multiclass_accuracy(list(preds), list(truths)))
+        assert confusion.accuracy() == pytest.approx(np.mean(preds == truths))
         assert confusion.counts.shape == (4, 4)
 
     def test_inconclusive_column(self):
@@ -146,6 +150,17 @@ class TestMulticlassConfusion:
         assert confusion.counts.shape == (2, 3)
         assert confusion.counts[1, 2] == 1
         assert confusion.accuracy() == pytest.approx(2 / 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 2, 3, INCONCLUSIVE])), min_size=1))
+    def test_binary_equals_collapsed_labels(self, pairs):
+        # The first k classes are positive; an inconclusive prediction is negative.
+        truths, preds = zip(*pairs)
+        confusion = multiclass_confusion(truths, preds, CLASSES)
+        for k in (1, 2, 3):
+            collapsed_truth = [t < k for t in truths]
+            collapsed_pred = [p != INCONCLUSIVE and p < k for p in preds]
+            assert confusion.binary(k) == confusion_from_labels(collapsed_truth, collapsed_pred, True)
 
 
 class TestRegressionMetrics:
@@ -198,7 +213,46 @@ class TestReports:
         assert (counts.tp, counts.fn, counts.tn, counts.fp) == (1, 1, 1, 1)
 
     def test_text_report_column_order(self):
-        text = binary_report_text([("m1", ConfusionCounts(100, 14, 50, 9))])
-        header, row = text.splitlines()
-        assert header.split() == ["model", "AC", "SN", "SP", "F1", "TP", "FN", "TN", "FP"]
+        confusion = MulticlassConfusion(("blocker", "non"), np.array([[100, 14], [9, 50]]))
+        text, _ = evaluation_report(confusion, [("m1", 1)])
+        header, row = text.splitlines()[2:4]
+        assert header.split() == ["threshold", "AC", "SN", "SP", "F1", "TP", "FN", "TN", "FP"]
         assert row.split() == ["m1", "86.7", "87.7", "84.7", "89.7", "100", "14", "50", "9"]
+
+    def test_evaluation_report_layout(self):
+        # The expected bytes are what evaluate wrote before its tables moved here.
+        # Rows are truths (strong, moderate, weak, non), columns predictions
+        # with a trailing inconclusive column.
+        confusion = multiclass_confusion(
+            [0] * 5 + [1] * 4 + [2] * 3 + [3] * 6,
+            [0, 0, 0, 1, 3, 1, 1, 0, INCONCLUSIVE, 2, 3, INCONCLUSIVE, 3, 3, 3, 3, 2, 1],
+            CLASSES,
+        )
+        text, csv_text = evaluation_report(confusion, [("6", 1), ("5", 2), ("4.5", 3)])
+        assert text == """binary metrics by threshold
+
+threshold  AC    SN    SP    F1    TP  FN  TN  FP
+6          83.3  60.0  92.3  66.7  3   2   12  1
+5          83.3  77.8  88.9  82.4  7   2   8   1
+4.5        66.7  66.7  66.7  72.7  8   4   4   2
+
+threshold  CCR    MCC
+6          76.2   56.4
+5          83.3   67.1
+4.5        66.7   31.6
+
+multiclass accuracy: 55.6
+
+confusion (rows = truth):
+                    strong      moderate          weak           non  inconclusive
+strong                   3             1             0             1             0
+moderate                 1             2             0             0             1
+weak                     0             0             1             1             1
+non                      0             1             1             4             0
+"""
+        assert csv_text == """threshold,AC,CCR,MCC,SN,SP,F1,TP,FN,TN,FP
+6,83.3,76.2,56.4,60.0,92.3,66.7,3,2,12,1
+5,83.3,83.3,67.1,77.8,88.9,82.4,7,2,8,1
+4.5,66.7,66.7,31.6,66.7,66.7,72.7,8,4,4,2
+multiclass,55.6,,,,,,,,,
+"""

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -346,3 +351,17 @@ class TestSvmDecision:
         fresh = np.array([(_kernel_matrix(model.kernel, row[None, :], model.support_vectors) @ model.dual_coefs)[0]
                           for row in probe]) + model.bias
         assert svm_decision_many(model, probe).tobytes() == fresh.tobytes()
+
+
+def test_fit_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma (numpy 2.4); svm_fit checks for both classes without it.
+    src = Path(svm_fit.__code__.co_filename).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, numpy as np\n"
+        "from cardiotox.learners import KernelSpec, svm_fit\n"
+        "svm_fit(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1.0, 1.0, -1.0, -1.0]), KernelSpec('linear'), 1.0)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
