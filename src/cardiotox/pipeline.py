@@ -261,19 +261,19 @@ def pipeline_predict(pipeline: ToxTreePipeline, row: np.ndarray) -> PredictionOu
 
 @dataclass(frozen=True)
 class ForestConfig:
+    """A forest of n_estimators trees, each grown to full depth."""
+
     n_estimators: int
-    max_depth: int | None = None
 
     def __post_init__(self):
         if self.n_estimators < 1:
             raise InvalidInputError("n_estimators must be at least 1")
 
     def size_key(self):
-        return (self.n_estimators, self.max_depth if self.max_depth is not None else math.inf)
+        return (self.n_estimators,)
 
     def describe(self) -> str:
-        depth = self.max_depth if self.max_depth is not None else "none"
-        return f"rf(n={self.n_estimators},depth={depth})"
+        return f"rf(n={self.n_estimators},depth=none)"
 
 
 @dataclass(frozen=True)
@@ -357,26 +357,13 @@ def fit_config(config: ForestConfig | SvmConfig, dataset: LabeledDataset, seed: 
     ``threads`` reach forests only.
     """
     if isinstance(config, ForestConfig):
-        return forest_fit(dataset, config.n_estimators, config.max_depth, seed=seed, threads=threads)
+        return forest_fit(dataset, config.n_estimators, seed=seed, threads=threads)
     if isinstance(config, SvmConfig):
         if len(dataset.class_names) != 2:
             raise InvalidInputError("SVM configurations need binary labels")
         y = np.where(dataset.labels == 0, 1.0, -1.0)
         return svm_fit(dataset.matrix, y, KernelSpec(config.kernel, degree=config.degree), config.c)
     raise InvalidInputError(f"unsupported config type {type(config).__name__}")
-
-
-def _largest_forests(space: Sequence[ForestConfig | SvmConfig], train_ds: LabeledDataset, seed: int) -> dict:
-    """One forest per max_depth in the space, as large as its largest config.
-
-    Tree i depends only on (seed, i), so the forest a config would fit on its
-    own is the first n_estimators trees of this one.
-    """
-    sizes: dict[int | None, int] = {}
-    for config in space:
-        if isinstance(config, ForestConfig):
-            sizes[config.max_depth] = max(sizes.get(config.max_depth, 0), config.n_estimators)
-    return {depth: fit_config(ForestConfig(n, depth), train_ds, seed) for depth, n in sizes.items()}
 
 
 def tune_grid(
@@ -391,10 +378,11 @@ def tune_grid(
     each fold.
 
     Each fold is resampled once and shared by every configuration. Forest
-    configurations are scored on prefixes of one forest per (fold, max_depth),
-    fitted at the largest size the space asks for: each of its trees
-    classifies the validation rows once, and a configuration predicts the
-    class with the most votes among its first trees.
+    configurations are scored on prefixes of one forest per fold, fitted at
+    the largest size the space asks for: tree i depends only on (seed, i), so
+    a configuration's own forest is the first n_estimators trees of that one.
+    Each tree classifies the validation rows once, and a configuration
+    predicts the class with the most votes among its first trees.
 
     Rankings put every configuration whose fit failed to converge in some
     fold (``converged`` False; SVMs only) after all the others, then order
@@ -410,6 +398,7 @@ def tune_grid(
     folds: FoldPlan = stratified_kfold(dataset, k, seed)
 
     results = [ConfigResult(config) for config in space]
+    largest = max((c.n_estimators for c in space if isinstance(c, ForestConfig)), default=0)
     for fold_idx, (train_idx, val_idx) in enumerate(folds.iter_train_val()):
         if len(val_idx) == 0:  # possible when k exceeds the row count
             continue
@@ -424,18 +413,17 @@ def tune_grid(
                     f"CV fold {fold_idx + 1} of {k}: cannot resample its training rows: {exc}{notes}"
                 ) from exc
         val_ds = dataset.subset(val_idx)
-        forests = _largest_forests(space, train_ds, seed)
-        # Deepest tree, and votes on each validation row, of each forest's first i + 1 trees.
-        prefix_depths = {
-            depth: np.maximum.accumulate([tree.depth() for tree in forest.trees]) for depth, forest in forests.items()
-        }
-        prefix_votes = {depth: forest_prefix_votes(forest, val_ds.matrix) for depth, forest in forests.items()}
+        if largest:
+            forest = fit_config(ForestConfig(largest), train_ds, seed)
+            # Deepest tree, and votes on each validation row, of the forest's first i + 1 trees.
+            prefix_depths = np.maximum.accumulate([tree.depth() for tree in forest.trees])
+            prefix_votes = forest_prefix_votes(forest, val_ds.matrix)
         for res in results:
             config = res.config
             if isinstance(config, ForestConfig):
-                depth = int(prefix_depths[config.max_depth][config.n_estimators - 1])
+                depth = int(prefix_depths[config.n_estimators - 1])
                 res.observed_max_depth = max(res.observed_max_depth or 0, depth)
-                preds = prefix_votes[config.max_depth][config.n_estimators - 1].argmax(axis=1)
+                preds = prefix_votes[config.n_estimators - 1].argmax(axis=1)
             else:
                 model = fit_config(config, train_ds, seed)
                 preds = np.where(svm_decision_many(model, val_ds.matrix) >= 0.0, 0, 1)

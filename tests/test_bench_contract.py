@@ -10,6 +10,8 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -26,19 +28,36 @@ from test_cli import synthetic_problem, write_compounds, write_descriptors
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 RUN_PATH = SPANS_PATH.with_name("run.py")
+GEN_PATH = SPANS_PATH.with_name("gen.py")
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def load_perfbench(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench(SPANS_PATH)
 
 
 def test_every_target_resolves_to_a_callable():
     for _layer, module_name, func, _hook in load_spans().TARGETS:
         target = getattr(importlib.import_module(module_name), func, None)
         assert callable(target), f"{module_name}.{func}"
+
+
+def test_cli_import_loads_every_traced_module():
+    # The recorder patches only the modules that importing cardiotox.cli
+    # loaded, so a traced module imported lazily would record no spans.
+    code = "import sys, cardiotox.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert {module for _layer, module, _func, _hook in load_spans().TARGETS} - loaded == set()
 
 
 def test_recorder_reads_fitted_forest(rng, tmp_path):
@@ -167,3 +186,27 @@ def test_prediction_commands_call_the_layers_the_benchmark_traces(bundles, tmp_p
         argv += ["--compounds", str(compounds)]
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     assert {name: calls[name] for name in layers if not calls[name]} == {}
+
+
+def bench_spec(workload: str) -> dict:
+    """The InputSpec keywords of a perfbench/run.py workload."""
+    table = bench_assignment("WORKLOADS")
+    call = table.values[[ast.literal_eval(key) for key in table.keys].index(workload)]
+    return {kw.arg: ast.literal_eval(kw.value) for kw in call.args[1].keywords}
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs BLAS in one thread anyway")
+def test_bundle_does_not_depend_on_blas_threads(tmp_path):
+    # nav15 fits PCA, whose covariance product threaded BLAS sums in another order.
+    gen = load_perfbench(GEN_PATH)
+    paths = gen.generate(gen.InputSpec(**bench_spec("nav15-train")), 101000, tmp_path, "nav15")
+    bundles = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas-{threads}"
+        argv = [sys.executable, "-m", "cardiotox.cli", "train", "--target", "nav15", "--grid", "quick",
+                "--folds", "3", "--threads", "1", "--descriptors", str(paths["train_descriptors"]),
+                "--compounds", str(paths["train_compounds"]), "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run(argv, env=env, capture_output=True, check=True)
+        bundles.append((out / "nav15-toxtree.toxtree.json").read_bytes())
+    assert bundles[0] == bundles[1]

@@ -296,7 +296,7 @@ def reference_forest_tuning(space, dataset, k, seed, plan):
             train_ds = dataset.subset(train_idx)
             if plan.strategy is not Strategy.ORIGINAL:
                 train_ds = balance(train_ds, replace(plan, seed=plan.seed + 7919 * (fold_idx + 1)))
-            model = forest_fit(train_ds, config.n_estimators, config.max_depth, seed=seed)
+            model = forest_fit(train_ds, config.n_estimators, seed=seed)
             depth = max(depth or 0, model.observed_max_depth())
             preds = forest_predict_many(model, dataset.matrix[val_idx])
             fold_ac.append(float(np.mean(preds == dataset.labels[val_idx])))
@@ -319,15 +319,6 @@ class TestTuneGrid:
         result = tune_grid([ForestConfig(5)], dataset, k=3, seed=1)
         assert result.best.config == ForestConfig(5)
         assert 0.0 <= result.best.ac_cv <= 1.0
-
-    def test_depth_matters_on_checkerboard(self, rng):
-        # four clusters in an XOR layout: a depth-1 stump cannot separate them
-        x, quadrant = make_blobs(rng, [[0, 0], [6, 6], [0, 6], [6, 0]], 30, scale=0.4)
-        y = np.where(quadrant < 2, 0, 1)
-        dataset = labeled(x, y, ("blocker", "non-blocker"))
-        result = tune_grid([ForestConfig(15, max_depth=1), ForestConfig(15, max_depth=None)], dataset, k=3, seed=0)
-        assert result.best.config.max_depth is None
-        assert result.best.ac_cv > result.ranked[-1].ac_cv
 
     def test_tie_break_prefers_smaller_model(self, rng):
         dataset = self.binary_blobs(rng, per_class=20)
@@ -360,7 +351,7 @@ class TestTuneGrid:
         x, y = make_blobs(rng, [[0, 0], [1.5, 1.5]], 40, scale=1.0)
         keep = np.concatenate([np.flatnonzero(y == 0)[:15], np.flatnonzero(y == 1)])
         dataset = labeled(x[keep], y[keep], ("blocker", "non-blocker"))
-        space = [ForestConfig(20), ForestConfig(10), ForestConfig(20, max_depth=1), ForestConfig(3, max_depth=1)]
+        space = [ForestConfig(20), ForestConfig(10)]
         plan = ResamplePlan(strategy, seed=5)
         expected, expected_ranking = reference_forest_tuning(space, dataset, 3, 4, plan)
 
@@ -379,7 +370,7 @@ class TestTuneGrid:
         got = [(r.config, r.ac_cv, r.f1_cv, r.fold_ac, r.fold_f1, r.observed_max_depth) for r in result.results]
         assert got == expected
         assert [r.config for r in result.ranked] == expected_ranking
-        assert calls["forest_fit"] == 3 * 2  # k folds x distinct max_depth
+        assert calls["forest_fit"] == 3  # one per fold
         assert calls["balance"] == (3 if strategy is Strategy.OVER_SAMPLE else 0)
 
     def test_svm_space_balances_once_per_fold(self, rng, monkeypatch):
@@ -424,9 +415,9 @@ class TestTuneGrid:
         dataset = labeled(x, y, ("blocker", "non-blocker"))
         model = fit_config(SvmConfig("linear", 1.0), dataset, seed=0)
         assert np.array_equal(svm_decision_many(model, x) >= 0.0, y == 0)
-        forest = fit_config(ForestConfig(5, max_depth=2), dataset, seed=3)
+        forest = fit_config(ForestConfig(5), dataset, seed=3)
         assert np.array_equal(forest_predict_many(forest, x),
-                              forest_predict_many(forest_fit(dataset, 5, 2, seed=3), x))
+                              forest_predict_many(forest_fit(dataset, 5, seed=3), x))
         with pytest.raises(InvalidInputError, match="unsupported config"):
             fit_config(object(), dataset, seed=0)
 
