@@ -269,7 +269,7 @@ def _cv_report_rows(threshold, name, strategy, class_counts, tuning):
             "nblk": class_counts[1],
             "ac_cv": mx.format_percent(res.ac_cv),
             "f1_cv": mx.format_percent(res.f1_cv),
-            "config": res.describe(),
+            "config": cfg.describe(),
             "n_estimators": getattr(cfg, "n_estimators", ""),
             "max_depth": "" if res.observed_max_depth is None else res.observed_max_depth,
             "kernel": getattr(cfg, "kernel", ""),
@@ -339,7 +339,7 @@ def cmd_train(args) -> int:
                       "within the update cap", file=sys.stderr)
             names.append(name)
             models.append(model)
-            print(f"stage {name}: best {tuning.best.describe()} "
+            print(f"stage {name}: best {best.describe()} "
                   f"(AC_cv {mx.format_percent(tuning.best.ac_cv)}, F1_cv {mx.format_percent(tuning.best.f1_cv)})")
         stage_objs.append(Stage(threshold, names, models))
 

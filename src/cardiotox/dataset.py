@@ -431,6 +431,14 @@ _KIND_ALIASES = {"ic50": "IC50", "ki": "Ki", "ec50": "EC50"}
 _ACTIVITY_REQUIRED = ("compound_key", "smiles", "value", "kind", "unit")
 
 
+def _check_cells(row: dict, header: list[str], lineno: int) -> None:
+    """Refuse a csv.DictReader row with fewer cells than the header, which
+    DictReader pads with None."""
+    missing = list(row.values()).count(None)
+    if missing:
+        raise ParseError(f"expected {len(header)} columns, found {len(header) - missing}", line=lineno)
+
+
 def parse_activity_csv(source) -> list[ActivityRecord]:
     """Read activity measurements from a CSV with named columns.
 
@@ -449,6 +457,7 @@ def parse_activity_csv(source) -> list[ActivityRecord]:
 
         records: list[ActivityRecord] = []
         for lineno, row in enumerate(reader, start=2):
+            _check_cells(row, reader.fieldnames, lineno)
             unit_token = (row["unit"] or "").strip().replace("µ", "u").replace("μ", "u")
             unit = _UNIT_ALIASES.get(unit_token.lower())
             if unit is None:
@@ -524,6 +533,7 @@ def parse_compounds_csv(source) -> list[Compound]:
         first_line: dict[str, int] = {}
         for row in reader:
             lineno = reader.line_num  # DictReader skips blank lines, so count physical ones
+            _check_cells(row, reader.fieldnames, lineno)
             try:
                 pic50 = float(row["pic50"])
             except (TypeError, ValueError):

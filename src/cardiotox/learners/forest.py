@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,69 +31,6 @@ def _node_ints(values, what: str) -> np.ndarray:
     if values.dtype.kind not in "iu":
         raise InvalidInputError(f"tree {what} must be integers")
     return values.astype(np.int64, copy=False)
-
-
-@dataclass
-class Tree:
-    """One tree in preorder; node 0 is the root.
-
-    ``feature`` holds every node's split feature, -1 at leaves. ``threshold``
-    holds one cut per split and ``value`` one row per leaf, both in preorder:
-    a leaf's class counts (n_leaves x n_classes) for classifiers, or its
-    target mean (n_leaves,) for regressors. Preorder fixes the children, so
-    none are stored: a split at node i has its left child at i + 1 and its
-    right child just past the left subtree. ``left`` and ``right`` (-1 at
-    leaves) are derived on construction by one stack walk, which also proves
-    the arrays describe one complete binary tree. Trees are read for
-    inspection and for fitting; forests predict by walking their whole node
-    table (see ``ForestModel``).
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    value: np.ndarray
-
-    def __post_init__(self):
-        self.feature = _node_ints(self.feature, "features")
-        self.threshold = np.asarray(self.threshold, dtype=float)
-        value = np.asarray(self.value)
-        self.value = _node_ints(value, "class counts") if value.ndim == 2 else value
-        if self.feature.ndim != 1 or len(self.feature) == 0:
-            raise InvalidInputError("tree features must be a non-empty 1-D array")
-        if np.any(self.feature < -1):
-            raise InvalidInputError("tree feature indices must be -1 (leaf) or nonnegative")
-        if self.value.ndim not in (1, 2):
-            raise InvalidInputError("tree values must be leaf means (1-D) or leaf class counts (2-D)")
-        n = len(self.feature)
-        splits = np.flatnonzero(self.feature >= 0)
-        leaves = np.flatnonzero(self.feature < 0)
-        if self.threshold.shape != splits.shape:
-            raise InvalidInputError(f"tree has {len(splits)} splits but thresholds of shape {self.threshold.shape}")
-        if len(self.value) != len(leaves):
-            raise InvalidInputError(f"tree has {len(leaves)} leaves but {len(self.value)} leaf values")
-        # Each node after a leaf is the right child of the latest split still
-        # without one; the walk closes as one tree iff every node but the root
-        # gets a parent and no split is left waiting.
-        right = [-1] * n
-        waiting = []
-        for node, f in enumerate(self.feature.tolist()):
-            if f >= 0:
-                waiting.append(node)
-            elif node + 1 < n:
-                if not waiting:
-                    raise InvalidInputError(f"tree features complete one tree at node {node} of {n}")
-                right[waiting.pop()] = node + 1
-        if waiting:
-            raise InvalidInputError("tree features do not close one tree: a split lacks a child")
-        self.left = np.full(n, -1)
-        self.left[splits] = splits + 1
-        self.right = np.array(right)
-
-    def depth(self) -> int:
-        depth = np.zeros(len(self.feature), dtype=int)
-        for i in np.flatnonzero(self.feature >= 0):  # parents precede children
-            depth[self.left[i]] = depth[self.right[i]] = depth[i] + 1
-        return int(depth.max())
 
 
 def _gini_from_counts(counts: np.ndarray, total: int) -> float:
@@ -315,7 +253,8 @@ class _GrowingTree:
 
 def _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, features_per_split, roots) -> list[tuple]:
     """Grow one tree per (generator, rows, draw counts) root, all in lockstep;
-    each comes back as its (feature, threshold, value) arrays (see ``Tree``).
+    each comes back as its (feature, threshold, value) arrays (see
+    ``ForestModel``).
 
     A root holds each of its rows once with the number of times it was
     drawn: a classification bootstrap as its distinct rows, a regression
@@ -409,8 +348,9 @@ def tree_fit(
     rng: np.random.Generator,
     n_classes: int | None = None,
     regression: bool = False,
-) -> Tree:
-    """Grow one tree by best-gain splits over a random feature subset per node.
+) -> ForestModel:
+    """Grow one tree by best-gain splits over a random feature subset per
+    node, as a forest of one tree.
 
     Stops on max_depth, pure nodes, nodes smaller than min_leaf, or when no
     split improves the criterion. Nodes are written in preorder. This is the
@@ -431,7 +371,8 @@ def tree_fit(
             raise InvalidInputError(f"class labels must lie in [0, {n_classes})")
     fps = min(features_per_split, x.shape[1])
     roots = [(rng, np.arange(x.shape[0]), np.ones(x.shape[0], dtype=np.int64))]
-    return Tree(*_grow_trees(x, y, _dense_ranks(x), n_classes, max_depth, min_leaf, fps, roots)[0])
+    trees = _grow_trees(x, y, _dense_ranks(x), n_classes, max_depth, min_leaf, fps, roots)
+    return ForestModel.from_trees(trees, x.shape[1], n_classes)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -442,34 +383,36 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForestModel:
-    """Bagged tree ensemble, stored as one flat node table.
+    """Bagged tree ensemble, stored as one flat node table; a single tree is
+    a forest of one.
 
-    ``feature``, ``threshold`` and ``value`` are every tree's preorder arrays
-    (see ``Tree``) laid end to end, and ``tree_nodes`` holds each tree's node
-    count, as tree-ensemble exchange formats such as ONNX-ML's
+    Each tree is held in preorder, node 0 its root: ``feature`` holds every
+    node's split feature (-1 at leaves), ``threshold`` one cut per split and
+    ``value`` one row per leaf, a leaf's class counts (n_leaves x n_classes)
+    for classifiers or its target mean (n_leaves,) for regressors. The
+    forest lays every tree's arrays end to end and ``tree_nodes`` holds each
+    tree's node count, as tree-ensemble exchange formats such as ONNX-ML's
     ``TreeEnsembleClassifier`` keep all of an ensemble's nodes in one set of
-    arrays. The arrays are copied on construction and read-only; ``trees``
-    is derived from them, one ``Tree`` per slice built on views, and each
-    tree checks its own slice. Classifiers (``n_classes`` set) vote over
-    class indices with Gini trees; regressors (``n_classes`` None) average
-    squared-error trees' leaf means.
+    arrays. The arrays are copied on construction and read-only.
+    Classifiers (``n_classes`` set) vote over class indices with Gini trees;
+    regressors (``n_classes`` None) average squared-error trees' leaf means.
 
-    Predictions walk one table derived on construction, held as plain lists
-    (numpy scalar indexing is slower): each node's feature, cut, right child
-    numbered in the whole table (a split's left child is the next node) and
-    leaf output (winning class or mean), plus each tree's root.
+    Preorder fixes the children, so none are stored: a split at node i has
+    its left child at i + 1 and its right child just past the left subtree.
+    One walk over the table on construction proves that each tree's slice is
+    one complete binary tree and derives ``left`` and ``right`` (numbered in
+    the table, -1 at leaves) and each node's depth. Predictions walk a table
+    derived from these, held as plain lists (numpy scalar indexing is
+    slower): each node's feature, cut, right child and leaf output (winning
+    class or mean), plus each tree's root.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     value: np.ndarray
     tree_nodes: np.ndarray
-    max_depth: int | None
-    features_per_split: int
-    seed: int
     n_features: int
     n_classes: int | None
-    min_leaf: int = 2
 
     def __post_init__(self):
         self.feature = _read_only(_node_ints(self.feature, "features"))
@@ -489,32 +432,47 @@ class ForestModel:
             raise InvalidInputError(f"tree node counts sum to {ends[-1]}, but the forest has {len(self.feature)} nodes")
         if self.feature.min() < -1 or self.feature.max() >= self.n_features:
             raise InvalidInputError(f"tree features must be -1 (leaf) or one of the model's {self.n_features}")
-        # Cuts and leaf rows before the end of each tree.
-        split_ends = np.cumsum(self.feature >= 0)[ends - 1]
-        leaf_ends = ends - split_ends
-        if (split_ends[-1], leaf_ends[-1]) != (len(self.threshold), len(self.value)):
+        is_split = self.feature >= 0
+        n_splits = int(is_split.sum())
+        if (n_splits, len(self.feature) - n_splits) != (len(self.threshold), len(self.value)):
             raise InvalidInputError(
-                f"forest has {split_ends[-1]} splits and {leaf_ends[-1]} leaves, but "
+                f"forest has {n_splits} splits and {len(self.feature) - n_splits} leaves, but "
                 f"{len(self.threshold)} thresholds and {len(self.value)} leaf values"
             )
-        nodes, splits, leaves = (np.concatenate([[0], e]).tolist() for e in (ends, split_ends, leaf_ends))
-        self.trees = [
-            Tree(self.feature[a:b], self.threshold[c:d], self.value[e:f])
-            for a, b, c, d, e, f in zip(nodes, nodes[1:], splits, splits[1:], leaves, leaves[1:])
-        ]
-        is_split = self.feature >= 0
-        cut = np.zeros(len(self.feature))
+        feature = self.feature.tolist()
+        self._roots = [0, *ends[:-1].tolist()]
+        right = [-1] * len(feature)
+        depth = [0] * len(feature)
+        for a, b in zip(self._roots, ends.tolist()):
+            # Each node after a leaf is the right child of the latest split
+            # still without one; the walk closes as one tree iff every node
+            # but the root gets a parent and no split is left waiting.
+            waiting = []
+            below = 0  # depth of the next node
+            for node in range(a, b):
+                depth[node] = below
+                if feature[node] >= 0:
+                    waiting.append(node)
+                    below += 1
+                elif node + 1 < b:
+                    if not waiting:
+                        raise InvalidInputError(f"tree features complete one tree at node {node - a} of {b - a}")
+                    parent = waiting.pop()
+                    right[parent] = node + 1
+                    below = depth[parent] + 1
+            if waiting:
+                raise InvalidInputError("tree features do not close one tree: a split lacks a child")
+        self.left = _read_only(np.where(is_split, np.arange(1, len(feature) + 1), -1))
+        self.right = _read_only(np.array(right))
+        self._depth = np.array(depth)
+        cut = np.zeros(len(feature))
         cut[is_split] = self.threshold
-        right = np.concatenate([tree.right for tree in self.trees]) + np.repeat(nodes[:-1], self.tree_nodes)
-        output = np.zeros(len(self.feature), dtype=float if self.n_classes is None else np.int64)
+        output = np.zeros(len(feature), dtype=float if self.n_classes is None else np.int64)
         output[~is_split] = self.value if self.n_classes is None else self.value.argmax(axis=1)
-        self._walk = (
-            self.feature.tolist(), cut.tolist(), np.where(is_split, right, -1).tolist(), output.tolist(), nodes[:-1]
-        )
+        self._walk = (feature, cut.tolist(), right, output.tolist(), self._roots)
 
     @classmethod
-    def from_trees(cls, trees, max_depth: int | None, features_per_split: int, seed: int, n_features: int,
-                   n_classes: int | None, min_leaf: int = 2) -> "ForestModel":
+    def from_trees(cls, trees, n_features: int, n_classes: int | None) -> "ForestModel":
         """The forest of ``trees``, each given as its (feature, threshold,
         value) preorder arrays, in tree order."""
         if not trees:
@@ -522,15 +480,31 @@ class ForestModel:
         features, thresholds, values = zip(*trees)
         return cls(
             np.concatenate(features), np.concatenate(thresholds), np.concatenate(values),
-            [len(f) for f in features], max_depth, features_per_split, seed, n_features, n_classes, min_leaf,
+            [len(f) for f in features], n_features, n_classes,
         )
 
     @property
     def n_estimators(self) -> int:
         return len(self.tree_nodes)
 
+    @cached_property
+    def trees(self) -> list["ForestModel"]:
+        """Each tree as a forest of one, in tree order; built when first read."""
+        splits = np.cumsum(self.feature >= 0)
+        cuts = [0, *splits[np.cumsum(self.tree_nodes) - 1].tolist()]
+        nodes = [*self._roots, len(self.feature)]
+        return [
+            ForestModel(self.feature[a:b], self.threshold[c:d], self.value[a - c:b - d], [b - a], self.n_features,
+                        self.n_classes)
+            for a, b, c, d in zip(nodes, nodes[1:], cuts, cuts[1:])
+        ]
+
+    def tree_depths(self) -> list[int]:
+        """Each tree's depth: its deepest node's distance from its root."""
+        return np.maximum.reduceat(self._depth, self._roots).tolist()
+
     def observed_max_depth(self) -> int:
-        return max(t.depth() for t in self.trees)
+        return max(self.tree_depths())
 
 
 def _default_features_per_split(d: int) -> int:
@@ -582,7 +556,7 @@ def _fit_forest(
                 trees[t::threads] = grown
     else:
         trees = grow(roots)
-    return ForestModel.from_trees(trees, max_depth, fps, seed, d, n_classes, min_leaf)
+    return ForestModel.from_trees(trees, d, n_classes)
 
 
 def forest_fit(

@@ -3,10 +3,11 @@ sensitivity, specificity, F1, CCR, MCC), the multiclass confusion matrix and
 the evaluation reports read off it, regression MSE/R2, and cross-validation
 estimates.
 
-Two F1 variants are reported: ``f1`` is the precision/sensitivity harmonic
-mean (the definition every published table is consistent with) and
-``f1_eq11`` is the sensitivity/specificity harmonic mean, kept alongside
-because the two differ whenever the classes are imbalanced.
+Two F1 variants are computed: ``f1`` is the precision/sensitivity harmonic
+mean (the definition every published table is consistent with, and the one
+every report prints) and ``f1_eq11`` is the sensitivity/specificity harmonic
+mean, kept for library callers because the two differ whenever the classes
+are imbalanced.
 """
 
 from __future__ import annotations

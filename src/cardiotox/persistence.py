@@ -14,7 +14,7 @@ once (as LIBSVM's multi-class model stores the union of its support
 vectors), so SVM stages fitted to one set of rows share them. No class needs
 its own code: a ``ForestModel``, for one, is four flat arrays (every tree's
 preorder features, cuts and leaf values end to end, and each tree's node
-count), and its constructor derives and checks the trees. A digest over the
+count), and its constructor checks that each tree closes. A digest over the
 payload and the row tables catches corruption.
 Saving is deterministic, and metadata rides along on loaded models so
 save(load(f)) reproduces f byte for byte.
@@ -35,11 +35,11 @@ import numpy as np
 
 from .dataset import text_stream
 from .errors import BundleError
-from .learners import BatchNormParams, ForestModel, KernelSpec, MlpModel, RidgeModel, SvmModel, Tree
+from .learners import BatchNormParams, ForestModel, KernelSpec, MlpModel, RidgeModel, SvmModel
 from .pipeline import PreprocessChain, Stage, ToxTreePipeline
 from .preprocess import PcaModel, ScalerParams
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 BUNDLE_EXTENSION = ".toxtree.json"
 DEFAULT_CREATED_AT = "1970-01-01T00:00:00Z"
 
@@ -51,7 +51,6 @@ _TYPE_KEY = "type"
 BUNDLE_TYPES = {
     "scaler": ScalerParams,
     "pca": PcaModel,
-    "tree": Tree,
     "forest": ForestModel,
     "kernel": KernelSpec,
     "svm": SvmModel,

@@ -334,9 +334,6 @@ class ConfigResult:
     def f1_cv(self) -> float:
         return cv_estimate(self.fold_f1)
 
-    def describe(self) -> str:
-        return self.config.describe()
-
 
 @dataclass
 class TuningResult:
@@ -416,7 +413,7 @@ def tune_grid(
         if largest:
             forest = fit_config(ForestConfig(largest), train_ds, seed)
             # Deepest tree, and votes on each validation row, of the forest's first i + 1 trees.
-            prefix_depths = np.maximum.accumulate([tree.depth() for tree in forest.trees])
+            prefix_depths = np.maximum.accumulate(forest.tree_depths())
             prefix_votes = forest_prefix_votes(forest, val_ds.matrix)
         for res in results:
             config = res.config

@@ -67,27 +67,37 @@ def _packed_cuts(cuts: np.ndarray) -> dict:
     return {"shape": [len(cuts)], "f64le": base64.b64encode(np.asarray(cuts, dtype="<f8").tobytes()).decode()}
 
 
-def _first_tree_as(feature):
-    """Edit giving an encoded forest's first tree the preorder ``feature``,
-    keeping as many of its cuts and leaf rows as that has splits and leaves,
-    so only the tree's shape can be refused."""
+def tree_as(feature, tree=0):
+    """Edit giving an encoded forest's tree number ``tree`` (negative counts
+    from the end) the preorder ``feature``, keeping as many of its cuts and
+    leaf rows as that has splits and leaves, so only the tree's shape can be
+    refused."""
 
     def edit(forest):
         flat, nodes, value = (unpacked_ints(forest[name]) for name in ("feature", "tree_nodes", "value"))
-        n = nodes[0]
-        splits = int(np.sum(flat[:n] >= 0))
+        t = range(len(nodes))[tree]
+        a, b = int(nodes[:t].sum()), int(nodes[:t + 1].sum())
+        # Cuts and leaf rows before the tree, and the tree's own.
+        s0, splits = int(np.sum(flat[:a] >= 0)), int(np.sum(flat[a:b] >= 0))
+        l0, leaves = a - s0, b - a - splits
         new_splits = sum(f >= 0 for f in feature)
         new_leaves = len(feature) - new_splits
         cuts = _cuts(forest)
         forest.update(
-            feature=packed_ints([*feature, *flat[n:]]),
-            threshold=_packed_cuts(np.concatenate([cuts[:new_splits], cuts[splits:]])),
-            value=packed_ints(np.concatenate([value[:new_leaves], value[n - splits:]])),
-            tree_nodes=packed_ints([len(feature), *nodes[1:]]),
+            feature=packed_ints([*flat[:a], *feature, *flat[b:]]),
+            threshold=_packed_cuts(np.concatenate([cuts[:s0 + new_splits], cuts[s0 + splits:]])),
+            value=packed_ints(np.concatenate([value[:l0 + new_leaves], value[l0 + leaves:]])),
+            tree_nodes=packed_ints([*nodes[:t], len(feature), *nodes[t + 1:]]),
         )
 
     return edit
 
+
+# Preorder features, by test id, that are not one complete tree (see tree_as).
+TREE_SHAPE_EDITS = {
+    "split-without-right-child": [0, -1],
+    "node-after-closed-tree": [-1, -1],
+}
 
 # Edits, by test id, that leave an encoded classification forest (whose
 # first tree's root splits) malformed in its flat preorder form; each must
@@ -95,6 +105,5 @@ def _first_tree_as(feature):
 MALFORMED_TREE_EDITS = {
     "cut-count-not-split-count": lambda f: f.update(threshold=_packed_cuts(_cuts(f)[:-1])),
     "leaf-rows-not-leaf-count": lambda f: f.update(value=packed_ints(unpacked_ints(f["value"])[:-1])),
-    "split-without-right-child": _first_tree_as([0, -1]),
-    "node-after-closed-tree": _first_tree_as([-1, -1]),
+    **{name: tree_as(feature) for name, feature in TREE_SHAPE_EDITS.items()},
 }

@@ -61,7 +61,7 @@ def synthetic_problem(rng, per_class=25):
 def stump_stage_model(threshold):
     """Single depth-1 tree: blocker (class 0) iff feature 0 > threshold."""
     tree = ([0, -1, -1], [threshold], [[0, 1], [1, 0]])
-    return ForestModel.from_trees([tree], 1, 1, 0, n_features=1, n_classes=2)
+    return ForestModel.from_trees([tree], n_features=1, n_classes=2)
 
 
 def class_code_pipeline():

@@ -382,6 +382,10 @@ class TestParseActivityCsv:
         with pytest.raises(ParseError, match="line 2"):
             parse_activity_csv(io.StringIO(self.HEADER + "c1,CCO,0,IC50,uM\n"))
 
+    def test_short_row_rejected(self):
+        with pytest.raises(ParseError, match="line 3: expected 5 columns, found 3$"):
+            parse_activity_csv(io.StringIO(self.HEADER + "c1,CCO,12,IC50,uM\nc2,CCO,12\n"))
+
 
 def test_compounds_csv_round_trip():
     from cardiotox.dataset import parse_compounds_csv, write_compounds_csv
@@ -399,6 +403,13 @@ def test_compounds_csv_rejects_duplicate_key():
     text = "compound_key,smiles,pic50\nc0,C,6.5\n\nc1,C,4.0\nc0,C,5.0\n"
     with pytest.raises(ParseError, match=r"line 5: duplicate compound key 'c0' \(first on line 2\)"):
         parse_compounds_csv(io.StringIO(text))
+
+
+def test_compounds_csv_rejects_short_row():
+    from cardiotox.dataset import parse_compounds_csv
+
+    with pytest.raises(ParseError, match="line 2: expected 3 columns, found 2$"):
+        parse_compounds_csv(io.StringIO("pic50,smiles,compound_key\n6.0,CC\n"))
 
 
 def test_inputs_with_a_byte_order_mark(tmp_path):

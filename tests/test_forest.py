@@ -11,7 +11,6 @@ from cardiotox.errors import InvalidInputError
 from cardiotox.learners import forest as forest_module
 from cardiotox.learners import (
     ForestModel,
-    Tree,
     forest_fit,
     forest_predict,
     forest_predict_many,
@@ -26,7 +25,7 @@ from cardiotox.learners import (
 from conftest import labeled, make_blobs
 
 
-def checked_children(tree: Tree, children: dict) -> Tree:
+def checked_children(tree: ForestModel, children: dict) -> ForestModel:
     """``tree``, after checking that the children it derives from preorder
     are the (left, right) pairs, by split node, that a recursion found."""
     for node in range(len(tree.feature)):
@@ -78,7 +77,7 @@ def oracle_tree(x, y, n_classes, max_depth):
         return node
 
     grow(x, y, 0)
-    return checked_children(Tree(feature, threshold, value), children)
+    return checked_children(ForestModel.from_trees([(feature, threshold, value)], x.shape[1], n_classes), children)
 
 
 def reference_gini_split(x, y, n_classes, feature_ids):
@@ -172,8 +171,8 @@ def reference_tree(x, y, n_classes, max_depth, min_leaf, features_per_split, rng
         return node
 
     grow(np.arange(len(y)), 0)
-    tree = Tree(feature, threshold, np.array(value, dtype=float if n_classes is None else np.int64))
-    return checked_children(tree, children)
+    value = np.array(value, dtype=float if n_classes is None else np.int64)
+    return checked_children(ForestModel.from_trees([(feature, threshold, value)], d, n_classes), children)
 
 
 def reference_forest(x, y, n_classes, n_estimators, max_depth, seed, features_per_split, min_leaf):
@@ -187,7 +186,7 @@ def reference_forest(x, y, n_classes, n_estimators, max_depth, seed, features_pe
     return trees
 
 
-def trees_equal(a: Tree, b: Tree) -> bool:
+def trees_equal(a: ForestModel, b: ForestModel) -> bool:
     """The stored arrays, with their dtypes, and the derived children agree."""
     return all(
         getattr(a, name).dtype == getattr(b, name).dtype and np.array_equal(getattr(a, name), getattr(b, name))
@@ -199,6 +198,7 @@ class TestTreeFit:
     def test_pure_input_single_leaf(self, rng):
         x = rng.normal(size=(6, 2))
         tree = tree_fit(x, np.zeros(6, dtype=int), None, 2, 2, rng, n_classes=2)
+        assert isinstance(tree, ForestModel) and tree.n_estimators == 1
         assert list(tree.feature) == [-1]
         assert list(tree.value[0]) == [6, 0]
 
@@ -223,7 +223,7 @@ class TestTreeFit:
         x = rng.normal(size=(64, 3))
         y = rng.integers(0, 2, size=64)
         tree = tree_fit(x, y, max_depth=2, min_leaf=2, features_per_split=3, rng=rng, n_classes=2)
-        assert tree.depth() <= 2
+        assert tree.observed_max_depth() <= 2
 
     @pytest.mark.parametrize("regression", [False, True])
     def test_cut_separating_no_rows_leaves_a_leaf(self, rng, regression):
@@ -454,8 +454,9 @@ class TestForestClassifier:
         probe = rng.normal(size=(20, 2)) * 3
         tree_rng = np.random.default_rng((11, 0))
         boot = tree_rng.integers(0, len(y), len(y))
+        # features_per_split=2 is the forest's default, ceil(sqrt(2)).
         solo = tree_fit(
-            x[boot], y[boot], 4, 2, forest.features_per_split, tree_rng, n_classes=2
+            x[boot], y[boot], 4, 2, 2, tree_rng, n_classes=2
         )
         # A node's cut and leaf row sit at its rank among the splits or leaves before it.
         split_rank = np.cumsum(solo.feature >= 0) - 1
@@ -521,7 +522,7 @@ class TestForestClassifier:
     def test_tie_breaks_to_lower_class_index(self):
         # leaves voting 1:1 across two trees
         leaves = [([-1], [], [counts]) for counts in ([5, 0], [0, 5])]
-        model = ForestModel.from_trees(leaves, None, 1, 0, n_features=1, n_classes=2)
+        model = ForestModel.from_trees(leaves, n_features=1, n_classes=2)
         assert forest_predict(model, np.array([0.0])) == 0
 
     def test_prefix_votes_match_prefix_forests(self, rng):
@@ -532,18 +533,21 @@ class TestForestClassifier:
         assert votes.shape == (9, 40, 3)
         arrays = [(t.feature, t.threshold, t.value) for t in forest.trees]
         for n in range(1, 10):
-            prefix = ForestModel.from_trees(arrays[:n], None, forest.features_per_split, forest.seed, 2, 3)
+            prefix = ForestModel.from_trees(arrays[:n], 2, 3)
             assert [forest_vote_counts(prefix, row).tolist() for row in probe] == votes[n - 1].tolist()
 
-    def test_flat_arrays_are_read_only_and_trees_view_them(self, rng):
+    def test_flat_arrays_are_read_only_and_trees_concatenate_to_them(self, rng):
         x, y = make_blobs(rng, [[0, 0], [4, 4]], 20)
         forest = forest_fit(labeled(x, y), 3, seed=0)
         assert forest.n_estimators == 3 and forest.tree_nodes.sum() == len(forest.feature)
         for name in ("feature", "threshold", "value", "tree_nodes"):
             assert not getattr(forest, name).flags.writeable
-        for tree in forest.trees:
-            for name in ("feature", "threshold", "value"):
-                assert np.shares_memory(getattr(tree, name), getattr(forest, name))
+        assert all(tree.n_estimators == 1 for tree in forest.trees)
+        assert forest.tree_depths() == [tree.observed_max_depth() for tree in forest.trees]
+        for name in ("feature", "threshold", "value"):
+            joined = np.concatenate([getattr(tree, name) for tree in forest.trees])
+            assert joined.dtype == getattr(forest, name).dtype
+            assert np.array_equal(joined, getattr(forest, name))
         with pytest.raises(ValueError):
             forest.trees[0].feature[0] = 1
 

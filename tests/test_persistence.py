@@ -40,7 +40,17 @@ from cardiotox.pipeline import (
 )
 from cardiotox.preprocess import fit_pca, fit_scaler, project, transform_scaler
 
-from conftest import MALFORMED_TREE_EDITS, identity_chain, labeled, make_blobs, packed_ints, resigned, unpacked_ints
+from conftest import (
+    MALFORMED_TREE_EDITS,
+    TREE_SHAPE_EDITS,
+    identity_chain,
+    labeled,
+    make_blobs,
+    packed_ints,
+    resigned,
+    tree_as,
+    unpacked_ints,
+)
 
 
 def roundtrip(model):
@@ -175,7 +185,7 @@ class TestRoundTrips:
         pipelines = build_pipelines(rng, models)
         nav = pipelines["nav15"]
         objects = [
-            *models.values(), *pipelines.values(), models["forest"].trees[0], models["svm"].kernel,
+            *models.values(), *pipelines.values(), models["svm"].kernel,
             models["mlp"].batchnorm[0], nav.preprocessing, nav.stages[0], nav.stages[-1],
         ]
         by_class = {type(obj): obj for obj in objects}
@@ -298,7 +308,7 @@ def flat_forests(draw):
             counts = st.lists(st.integers(0, 40_000), min_size=n_classes, max_size=n_classes)
             value = np.array(draw(st.lists(counts, min_size=leaves, max_size=leaves)), dtype=np.int64)
         trees.append((np.array(feature), threshold, value))
-    forest = ForestModel.from_trees(trees, None, 1, draw(st.integers(0, 2**31)), n_features, n_classes)
+    forest = ForestModel.from_trees(trees, n_features, n_classes)
     return forest, trees
 
 
@@ -335,7 +345,7 @@ class TestFlatForest:
 
     @pytest.mark.parametrize("feature, key", [(127, "i8le"), (128, "i16le")])
     def test_integers_take_the_narrowest_width(self, feature, key):
-        forest = ForestModel.from_trees([([feature, -1, -1], [0.5], [[1, 0], [0, 1]])], None, 1, 0, 129, 2)
+        forest = ForestModel.from_trees([([feature, -1, -1], [0.5], [[1, 0], [0, 1]])], 129, 2)
         payload = json.loads(saved(forest))["payload"]
         assert payload["feature"] == {"shape": [3], key: base64.b64encode(
             np.array([feature, -1, -1], dtype=f"<i{int(key[1:-2]) // 8}").tobytes()).decode()}
@@ -379,15 +389,20 @@ class TestFailureModes:
                 id="int-bytes-not-width-per-value",
             ),
             *(pytest.param(edit, id=name) for name, edit in MALFORMED_TREE_EDITS.items()),
+            # The shape edits on a middle tree and on the last tree (of 7).
+            *(pytest.param(tree_as(feature, tree), id=f"{name}-tree-{tree}")
+              for name, feature in TREE_SHAPE_EDITS.items() for tree in (3, -1)),
         ],
     )
     def test_malformed_forest_rejected(self, rng, edit):
         text, _ = roundtrip(build_models(rng)["forest"])
         bundle = json.loads(text)
         forest = bundle["payload"]
-        # Every node index fits in 8 bits, and the first tree's root splits,
-        # so the edits hit an internal node.
-        assert "i8le" in forest["feature"] and unpacked_ints(forest["feature"])[0] >= 0
+        # Every node index fits in 8 bits, and every tree's root splits, so
+        # the edits hit an internal node.
+        nodes = unpacked_ints(forest["tree_nodes"])
+        assert len(nodes) == 7 and "i8le" in forest["feature"]
+        assert np.all(unpacked_ints(forest["feature"])[np.cumsum(nodes) - nodes] >= 0)
         edit(forest)
         with pytest.raises(BundleError, match="forest"):
             load_bundle(io.StringIO(resigned(bundle)))
