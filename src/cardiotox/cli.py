@@ -147,22 +147,21 @@ def _build_parser() -> _Parser:
 
 def _load_config_file(path: str, known_keys: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
     try:
-        with ds.text_stream(path, error=UsageError) as stream:
-            text = stream.read()
+        for lineno, line in ds.content_lines(path, error=UsageError):
+            if "=" not in line:
+                raise ParseError(f"expected key=value, got {line!r}", line=lineno)
+            key, value = line.split("=", 1)
+            key = key.strip().replace("-", "_")
+            if key not in known_keys:
+                raise ParseError(f"unknown key {key!r} (not a flag of any command)", line=lineno)
+            ds.note_first_line(first_lines, key, lineno, "key")
+            values[key] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in known_keys:
-            raise UsageError(f"config line {lineno}: unknown key {key!r} (not a flag of any command)")
-        values[key] = value.strip()
+    except ParseError as exc:
+        raise UsageError(f"config {exc}") from None
     return values
 
 

@@ -12,9 +12,10 @@ import csv
 import enum
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -372,17 +373,45 @@ def text_stream(source, mode: str = "r", error: type[Exception] = ParseError):
             raise error(f"{path} is not UTF-8 text: byte offset {exc.start}: {exc.reason}") from None
 
 
-def _raise_bad_cell(feature_names: list[str], row: list[str], lineno: int) -> None:
-    """Raise ParseError naming the first cell of a row that is not blank and not a real."""
-    for name, cell in zip(feature_names, row[1:]):
-        token = cell.strip()
-        if token:
-            try:
-                float(token)
-            except ValueError:
-                raise ParseError(
-                    f"cell {token!r} in feature {name!r} is not a real number", line=lineno
-                ) from None
+def content_lines(source, error: type[Exception] = ParseError) -> Iterator[tuple[int, str]]:
+    """Yield (line number, text before any '#', stripped) for each line of a
+    text file that has such text; ``error`` is text_stream's."""
+    with text_stream(source, error=error) as stream:
+        for lineno, raw in enumerate(stream, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                yield lineno, text
+
+
+def note_first_line(first_lines: dict[str, int], entry: str, line: int, what: str) -> None:
+    """Record the line an entry first appears on; a repeat raises ParseError naming both lines."""
+    if entry in first_lines:
+        raise ParseError(f"duplicate {what} {entry!r} (first on line {first_lines[entry]})", line=line)
+    first_lines[entry] = line
+
+
+def _csv_rows(stream, what: str, required: Sequence[str] = ()) -> Iterator[tuple[int, list[str]]]:
+    """Yield (physical line, cells) for each non-blank row of a CSV stream, the
+    header first with its names stripped. Blank lines are skipped, before the
+    header too. A repeated column name, a missing ``required`` one, or a row
+    whose width differs from the header's raises ParseError naming its line."""
+    reader = csv.reader(stream)
+    header = next((row for row in reader if row), None)
+    if header is None:
+        raise ParseError(f"empty {what} stream (no header row)", line=1)
+    header = [name.strip() for name in header]
+    repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+    if repeated:
+        raise ParseError(f"duplicate column names: {', '.join(repeated)}", line=reader.line_num)
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise ParseError(f"missing required columns: {', '.join(missing)}", line=reader.line_num)
+    yield reader.line_num, header
+    for row in reader:
+        if row:
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} columns, found {len(row)}", line=reader.line_num)
+            yield reader.line_num, row
 
 
 def parse_descriptor_csv(source) -> DescriptorTable:
@@ -390,35 +419,26 @@ def parse_descriptor_csv(source) -> DescriptorTable:
 
     Empty cells and NaN/Infinity tokens become missing values (NaN cells);
     everything else must parse as a finite real. Ragged rows and duplicate
-    feature names raise ParseError with the offending line number.
+    column names raise ParseError with the offending line number.
     """
     with text_stream(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty descriptor stream (no header row)", line=1)
-        if len(header) < 1:
-            raise ParseError("header row has no columns", line=1)
-        feature_names = [h.strip() for h in header[1:]]
-        if len(set(feature_names)) != len(feature_names):
-            dupes = sorted({n for n in feature_names if feature_names.count(n) > 1})
-            raise ParseError(f"duplicate feature names: {', '.join(dupes)}", line=1)
-
+        reader = _csv_rows(stream, "descriptor")
+        _, header = next(reader)
+        feature_names = header[1:]
         row_keys: list[str] = []
         rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} columns, found {len(row)}", line=lineno
-                )
-            row_keys.append(row[0].strip())
+        for line, cells in reader:
+            row_keys.append(cells[0].strip())
             try:
-                rows.append([float(t) if t else math.nan for t in map(str.strip, row[1:])])
+                rows.append([float(t) if t else math.nan for t in map(str.strip, cells[1:])])
             except ValueError:
-                _raise_bad_cell(feature_names, row, lineno)
+                for name, token in zip(feature_names, map(str.strip, cells[1:])):
+                    try:
+                        float(token or "nan")
+                    except ValueError:
+                        raise ParseError(
+                            f"cell {token!r} in feature {name!r} is not a real number", line=line
+                        ) from None
                 raise
         values = np.array(rows, dtype=float) if rows else np.empty((0, len(feature_names)))
         # NaN and Infinity tokens, and overflow to inf, count as missing.
@@ -431,14 +451,6 @@ _KIND_ALIASES = {"ic50": "IC50", "ki": "Ki", "ec50": "EC50"}
 _ACTIVITY_REQUIRED = ("compound_key", "smiles", "value", "kind", "unit")
 
 
-def _check_cells(row: dict, header: list[str], lineno: int) -> None:
-    """Refuse a csv.DictReader row with fewer cells than the header, which
-    DictReader pads with None."""
-    missing = list(row.values()).count(None)
-    if missing:
-        raise ParseError(f"expected {len(header)} columns, found {len(header) - missing}", line=lineno)
-
-
 def parse_activity_csv(source) -> list[ActivityRecord]:
     """Read activity measurements from a CSV with named columns.
 
@@ -447,66 +459,56 @@ def parse_activity_csv(source) -> list[ActivityRecord]:
     unknown tokens raise ParseError.
     """
     with text_stream(source) as stream:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise ParseError("empty activity stream (no header row)", line=1)
-        reader.fieldnames = [f.strip() for f in reader.fieldnames]
-        missing = [c for c in _ACTIVITY_REQUIRED if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"missing required columns: {', '.join(missing)}", line=1)
-
+        reader = _csv_rows(stream, "activity", _ACTIVITY_REQUIRED)
+        _, header = next(reader)
         records: list[ActivityRecord] = []
-        for lineno, row in enumerate(reader, start=2):
-            _check_cells(row, reader.fieldnames, lineno)
-            unit_token = (row["unit"] or "").strip().replace("µ", "u").replace("μ", "u")
-            unit = _UNIT_ALIASES.get(unit_token.lower())
+        for line, cells in reader:
+            row = dict(zip(header, cells))
+            unit = _UNIT_ALIASES.get(row["unit"].strip().replace("µ", "u").replace("μ", "u").lower())
             if unit is None:
-                raise ParseError(f"unsupported unit token {row['unit']!r}", line=lineno)
-            kind = _KIND_ALIASES.get((row["kind"] or "").strip().lower())
+                raise ParseError(f"unsupported unit token {row['unit']!r}", line=line)
+            kind = _KIND_ALIASES.get(row["kind"].strip().lower())
             if kind is None:
-                raise ParseError(f"unsupported potency kind {row['kind']!r}", line=lineno)
+                raise ParseError(f"unsupported potency kind {row['kind']!r}", line=line)
             try:
                 value = float(row["value"])
-            except (TypeError, ValueError):
-                raise ParseError(f"value {row['value']!r} is not a number", line=lineno) from None
-            cell_line = (row.get("cell_line") or "").strip() or None
-            ordinal_token = (row.get("reference_ordinal") or "").strip()
+            except ValueError:
+                raise ParseError(f"value {row['value']!r} is not a number", line=line) from None
+            ordinal_token = row.get("reference_ordinal", "").strip()
             try:
                 ordinal = int(ordinal_token) if ordinal_token else None
             except ValueError:
-                raise ParseError(
-                    f"reference_ordinal {ordinal_token!r} is not an integer", line=lineno
-                ) from None
+                raise ParseError(f"reference_ordinal {ordinal_token!r} is not an integer", line=line) from None
             try:
                 records.append(
                     ActivityRecord(
-                        compound_key=(row["compound_key"] or "").strip(),
-                        smiles=(row["smiles"] or "").strip(),
+                        compound_key=row["compound_key"].strip(),
+                        smiles=row["smiles"].strip(),
                         potency_value=value,
                         potency_kind=kind,
                         unit=unit,
-                        cell_line=cell_line,
+                        cell_line=row.get("cell_line", "").strip() or None,
                         reference_ordinal=ordinal,
                     )
                 )
             except InvalidInputError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+                raise ParseError(str(exc), line=line) from None
         return records
 
 
 def load_key_overrides(source) -> dict[str, str]:
-    """Read a key override file: raw_key<TAB>canonical_key per line, '#' comments."""
-    with text_stream(source) as stream:
-        overrides: dict[str, str] = {}
-        for lineno, raw in enumerate(stream, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected raw_key<TAB>canonical_key", line=lineno)
-            overrides[parts[0].strip()] = parts[1].strip()
-        return overrides
+    """Read a key override file: raw_key<TAB>canonical_key per line, '#'
+    comments. A raw key mapped twice raises ParseError."""
+    overrides: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
+    for line, text in content_lines(source):
+        parts = text.split("\t")
+        if len(parts) != 2:
+            raise ParseError("expected raw_key<TAB>canonical_key", line=line)
+        raw_key, canonical = (part.strip() for part in parts)
+        note_first_line(first_lines, raw_key, line, "raw key")
+        overrides[raw_key] = canonical
+    return overrides
 
 
 def write_compounds_csv(compounds: Sequence[Compound], sink) -> None:
@@ -521,31 +523,20 @@ def write_compounds_csv(compounds: Sequence[Compound], sink) -> None:
 def parse_compounds_csv(source) -> list[Compound]:
     """Read compounds written by write_compounds_csv. Keys must be unique."""
     with text_stream(source) as stream:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise ParseError("empty compound stream (no header row)", line=1)
-        reader.fieldnames = [f.strip() for f in reader.fieldnames]
-        required = ("compound_key", "smiles", "pic50")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"missing required columns: {', '.join(missing)}", line=1)
+        reader = _csv_rows(stream, "compound", ("compound_key", "smiles", "pic50"))
+        _, header = next(reader)
         compounds = []
-        first_line: dict[str, int] = {}
-        for row in reader:
-            lineno = reader.line_num  # DictReader skips blank lines, so count physical ones
-            _check_cells(row, reader.fieldnames, lineno)
+        first_lines: dict[str, int] = {}
+        for line, cells in reader:
+            row = dict(zip(header, cells))
             try:
                 pic50 = float(row["pic50"])
-            except (TypeError, ValueError):
-                raise ParseError(f"pic50 {row['pic50']!r} is not a number", line=lineno) from None
+            except ValueError:
+                raise ParseError(f"pic50 {row['pic50']!r} is not a number", line=line) from None
             key = row["compound_key"].strip()
-            if key in first_line:
-                raise ParseError(
-                    f"duplicate compound key {key!r} (first on line {first_line[key]})", line=lineno
-                )
-            first_line[key] = lineno
+            note_first_line(first_lines, key, line, "compound key")
             try:
-                compounds.append(Compound(key, (row["smiles"] or "").strip(), pic50))
+                compounds.append(Compound(key, row["smiles"].strip(), pic50))
             except InvalidInputError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+                raise ParseError(str(exc), line=line) from None
         return compounds

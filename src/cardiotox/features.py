@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DescriptorTable, text_stream
+from .dataset import DescriptorTable, content_lines, note_first_line
 from .errors import InvalidInputError
 from .preprocess import fit_scaler, transform_scaler
 
@@ -310,12 +310,9 @@ def variance_report(matrix: np.ndarray, feature_names: list[str]) -> list[tuple[
 
 
 def load_feature_whitelist(source) -> list[str]:
-    """One feature name per line; '#' starts a comment; blanks skipped."""
-    with text_stream(source) as stream:
-        lines = stream.read().splitlines()
-    names = []
-    for raw in lines:
-        name = raw.split("#", 1)[0].strip()
-        if name:
-            names.append(name)
-    return names
+    """One feature name per line; '#' starts a comment; blanks skipped. A name
+    given twice raises ParseError."""
+    first_lines: dict[str, int] = {}
+    for line, name in content_lines(source):
+        note_first_line(first_lines, name, line, "feature name")
+    return list(first_lines)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -487,9 +486,9 @@ class ForestModel:
     def n_estimators(self) -> int:
         return len(self.tree_nodes)
 
-    @cached_property
+    @property
     def trees(self) -> list["ForestModel"]:
-        """Each tree as a forest of one, in tree order; built when first read."""
+        """Each tree as a forest of one, in tree order; built anew on each read."""
         splits = np.cumsum(self.feature >= 0)
         cuts = [0, *splits[np.cumsum(self.tree_nodes) - 1].tolist()]
         nodes = [*self._roots, len(self.feature)]

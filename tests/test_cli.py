@@ -303,6 +303,15 @@ class TestTrain:
         assert "error: config line 2: unknown key 'fold'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "herg-toxtree.toxtree.json").exists()
 
+    def test_config_key_set_twice_exits_1(self, trained, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("folds=3\ngrid=quick\n# again\nfolds = 2\n")
+        code = main(["train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+                     "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: config line 4: duplicate key 'folds' (first on line 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("resample", ["original", "over", "under"])
     def test_cv_report_counts_the_resampled_stage_set(self, trained, tmp_path, resample):
         out = tmp_path / "o"

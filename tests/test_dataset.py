@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 from cardiotox.dataset import (
     ActivityRecord,
     Compound,
+    DescriptorTable,
     PotencyClass,
     assign_class,
     binarize,
+    load_key_overrides,
     parse_activity_csv,
+    parse_compounds_csv,
     parse_descriptor_csv,
     pic50_from_potency,
     resolve_duplicates,
@@ -445,3 +449,110 @@ def test_undecodable_file_names_its_byte_offset(tmp_path):
     path.write_bytes(data[:offset] + "é".encode("cp1252") + data[offset:])
     with pytest.raises(ParseError, match=rf"descriptors\.csv is not UTF-8 text: byte offset {offset}:"):
         parse_descriptor_csv(path)
+
+
+# Per CSV parser: its header, a valid row given a key and a text that may hold
+# line breaks, a row that fails on its cells, and that failure's message.
+CSV_PARSERS = {
+    "descriptors": (parse_descriptor_csv, ["Name", "f1", "f2"], lambda key, text: [key + text, "1.5", ""],
+                    ["bad", "abc", "1"], "cell 'abc' in feature 'f1' is not a real number"),
+    "activities": (parse_activity_csv, ["compound_key", "smiles", "value", "kind", "unit"],
+                   lambda key, text: [key, "C" + text, "12", "IC50", "uM"],
+                   ["bad", "C", "0", "IC50", "uM"], "potency_value must be a finite positive real, got 0.0"),
+    "compounds": (parse_compounds_csv, ["compound_key", "smiles", "pic50"], lambda key, text: [key, "C" + text, "6.5"],
+                  ["bad", "C", "x"], "pic50 'x' is not a number"),
+}
+
+
+def csv_line(cells):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+@st.composite
+def csv_texts(draw, header, good_row):
+    """Blank lines, the header, then valid rows, some with a quoted cell
+    spanning lines, each after blank lines. Returns (text, next physical line)."""
+    text = "\n" * draw(st.integers(0, 2)) + csv_line(header)
+    for i in range(draw(st.integers(0, 3))):
+        text += "\n" * draw(st.integers(0, 2))
+        text += csv_line(good_row(f"c{i}", "\nx" * draw(st.integers(0, 2))))
+    text += "\n" * draw(st.integers(0, 2))
+    return text, text.count("\n") + 1
+
+
+def parsed(parse, text):
+    """A parser's rows, comparable with ==."""
+    result = parse(io.StringIO(text))
+    if isinstance(result, DescriptorTable):
+        return [(key, row.tobytes()) for key, row in zip(result.row_keys, result.values)]
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(CSV_PARSERS))
+class TestSharedCsvRules:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_error_names_the_bad_rows_physical_line(self, name, data):
+        parse, header, good_row, bad_row, message = CSV_PARSERS[name]
+        text, line = data.draw(csv_texts(header, good_row))
+        with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$"):
+            parse(io.StringIO(text + csv_line(bad_row)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), wider=st.booleans())
+    def test_row_of_another_width_is_refused(self, name, data, wider):
+        parse, header, good_row, _, _ = CSV_PARSERS[name]
+        text, line = data.draw(csv_texts(header, good_row))
+        row = good_row("odd", "")
+        row = row + ["extra"] if wider else row[:-1]
+        with pytest.raises(ParseError, match=f"^line {line}: expected {len(header)} columns, found {len(row)}$"):
+            parse(io.StringIO(text + csv_line(row)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_repeated_column_name_is_refused(self, name, data):
+        parse, header, good_row, _, _ = CSV_PARSERS[name]
+        repeated = data.draw(st.sampled_from(header))
+        at = data.draw(st.integers(0, len(header)))
+        blanks = data.draw(st.integers(0, 2))
+        text = "\n" * blanks + csv_line([*header[:at], f" {repeated} ", *header[at:]])
+        with pytest.raises(ParseError, match=f"^line {blanks + 1}: duplicate column names: {repeated}$"):
+            parse(io.StringIO(text + csv_line([*good_row("c0", ""), "1"])))
+
+    def test_blank_lines_before_the_header_are_skipped(self, name):
+        parse, header, good_row, _, _ = CSV_PARSERS[name]
+        text = csv_line(header) + csv_line(good_row("c0", "")) + "\n" + csv_line(good_row("c1", "\nx"))
+        assert parsed(parse, "\n\n" + text) == parsed(parse, text)
+        assert len(parsed(parse, text)) == 2
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    # A blank line does not shift the line an activity error names.
+    pytest.param(parse_activity_csv, TestParseActivityCsv.HEADER + "c1,CCO,12,IC50,uM\n\n\nc2,CCO,0,IC50,uM\n",
+                 "line 5: potency_value must be a finite positive real, got 0.0", id="activities-blank-lines"),
+    # Extra cells are refused, not dropped.
+    pytest.param(parse_compounds_csv, "compound_key,smiles,pic50\nc0,C,6.5,extra,cells\n",
+                 "line 2: expected 3 columns, found 5", id="compounds-extra-cells"),
+    pytest.param(parse_activity_csv, TestParseActivityCsv.HEADER + "c1,CCO,12,IC50,uM,HEK293\n",
+                 "line 2: expected 5 columns, found 6", id="activities-extra-cell"),
+    # A quoted cell spanning lines 2-3 puts the bad row on physical line 4.
+    pytest.param(parse_descriptor_csv, 'Name,f1\n"c\n1",1\nc2,abc\n',
+                 "line 4: cell 'abc' in feature 'f1' is not a real number", id="descriptors-multi-line-cell"),
+    pytest.param(parse_activity_csv, TestParseActivityCsv.HEADER + 'c1,"C\nCO",12,IC50,uM\nc2,CCO,12,IC50,pM\n',
+                 "line 4: unsupported unit token 'pM'", id="activities-multi-line-cell"),
+    # A repeated column is refused, not read from its last copy.
+    pytest.param(parse_compounds_csv, "compound_key,smiles,pic50,pic50\nc0,C,6.5,4.0\n",
+                 "line 1: duplicate column names: pic50", id="compounds-repeated-column"),
+])
+def test_csv_errors_name_the_physical_line_of_a_malformed_row(parse, text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(io.StringIO(text))
+
+
+def test_key_overrides_refuse_a_raw_key_mapped_twice():
+    text = "# raw\tcanonical\na\tA\nb\tB  # comment\n\na \t C\n"
+    with pytest.raises(ParseError, match=r"^line 5: duplicate raw key 'a' \(first on line 2\)$"):
+        load_key_overrides(io.StringIO(text))
+    assert load_key_overrides(io.StringIO(text.replace("a \t C", "c\tC"))) == {"a": "A", "b": "B", "c": "C"}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cardiotox.dataset import DescriptorTable
-from cardiotox.errors import InvalidInputError
+from cardiotox.errors import InvalidInputError, ParseError
 from cardiotox.features import (
     correlation_filter,
     filter_low_information,
@@ -287,3 +287,10 @@ def test_whitelist_loader_skips_a_byte_order_mark(tmp_path):
     path.write_text("ALogP\nnAtom\n", encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
     assert load_feature_whitelist(path) == ["ALogP", "nAtom"]
+
+
+def test_whitelist_loader_refuses_a_repeated_name(tmp_path):
+    path = tmp_path / "wl.txt"
+    path.write_text("ALogP\n# comment\nnAtom\n  ALogP  # again\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^line 4: duplicate feature name 'ALogP' \(first on line 1\)$"):
+        load_feature_whitelist(path)

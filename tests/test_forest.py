@@ -551,6 +551,16 @@ class TestForestClassifier:
         with pytest.raises(ValueError):
             forest.trees[0].feature[0] = 1
 
+    def test_reading_trees_caches_nothing_on_the_model(self, rng):
+        # A caller that keeps forests (a tracer counting their trees) must not keep their one-tree forests too.
+        x, y = make_blobs(rng, [[0, 0], [4, 4]], 20)
+        forest = forest_fit(labeled(x, y), 3, seed=0)
+        before = dict(vars(forest))
+        assert len(forest.trees) == 3
+        assert forest.trees[0] is not forest.trees[0]
+        assert vars(forest).keys() == before.keys()
+        assert all(vars(forest)[name] is value for name, value in before.items())
+
     def test_rejects_empty_and_bad_counts(self, rng):
         dataset = labeled(rng.normal(size=(4, 2)), [0, 1, 0, 1])
         with pytest.raises(InvalidInputError):
