@@ -111,7 +111,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="tune, fit, and bundle a ToxTree pipeline")
     add_common(p)
     p.add_argument("--seed", type=int, default=1729, help="RNG seed, at least 0 (default %(default)s)")
-    p.add_argument("--threads", type=int, default=1, help="forest worker threads (default %(default)s)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="at least 1; no effect, training runs in one thread (default %(default)s)")
     p.add_argument("--descriptors", required=True)
     p.add_argument("--compounds", required=True)
     p.add_argument("--target", choices=tuple(_TARGETS), default="herg",
@@ -332,7 +333,7 @@ def cmd_train(args) -> int:
             for warning in tuning.fold_warnings:
                 print(f"note: stage {name}: {warning}", file=sys.stderr)
             report_rows.extend(_cv_report_rows(threshold, name, strategy, train_ds.class_counts(), tuning))
-            model = fit_config(best, train_ds, args.seed, args.threads)
+            model = fit_config(best, train_ds, args.seed)
             if not getattr(model, "converged", True):
                 print(f"warning: stage {name} SVM {best.describe()} did not converge "
                       "within the update cap", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Gini decision trees and bagged random forests (classifier and regressor).
 
 Each tree draws its bootstrap and feature subsets from a generator seeded by
-(forest seed, tree index), so a forest is bit-identical for a fixed seed no
-matter how many threads build it. A forest's trees grow together: each step
+(forest seed, tree index), so a forest of n trees is the first n trees of any
+larger forest with the same seed, and a grid search can score every tree
+count on one forest. A forest's trees grow together in one thread: each step
 scores one waiting node of every tree in one batched split search, while
 each tree keeps its own preorder node numbering and its own generator
 stream, so every tree is the one it would be if grown alone. A
@@ -517,8 +518,9 @@ def _fit_forest(
     grows regression trees.
 
     Tree i draws its bootstrap and then its feature subsets from the
-    generator seeded by (seed, i). With ``threads`` > 1, thread t grows trees
-    t, t + threads, ... in lockstep; the trees do not depend on the split.
+    generator seeded by (seed, i). All trees grow in one lockstep
+    ``_grow_trees`` call in the calling thread; ``threads`` is only checked
+    (at least 1) and has no effect.
     """
     if n_estimators < 1:
         raise InvalidInputError("n_estimators must be at least 1")
@@ -539,22 +541,7 @@ def _fit_forest(
             draws = np.bincount(boot, minlength=n)
             rows = np.flatnonzero(draws)
             roots.append((rng, rows, draws[rows]))
-    ranks = _dense_ranks(x)
-
-    def grow(share) -> list[tuple]:
-        return _grow_trees(x, y, ranks, n_classes, max_depth, min_leaf, min(fps, d), share)
-
-    if threads > 1:
-        # Imported here: it loads logging, queue and traceback, a cost every
-        # command would pay for a pool that few runs start.
-        from concurrent.futures import ThreadPoolExecutor
-
-        trees: list[tuple] = [None] * n_estimators
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, grown in enumerate(pool.map(grow, [roots[t::threads] for t in range(threads)])):
-                trees[t::threads] = grown
-    else:
-        trees = grow(roots)
+    trees = _grow_trees(x, y, _dense_ranks(x), n_classes, max_depth, min_leaf, min(fps, d), roots)
     return ForestModel.from_trees(trees, d, n_classes)
 
 
@@ -567,7 +554,8 @@ def forest_fit(
     min_leaf: int = 2,
     threads: int = 1,
 ) -> ForestModel:
-    """Gini classification forest over the dataset's class indices."""
+    """Gini classification forest over the dataset's class indices;
+    ``threads`` must be at least 1 and has no effect."""
     if dataset.matrix.shape[0] == 0:
         raise InvalidInputError("cannot fit a forest on an empty dataset")
     return _fit_forest(
@@ -586,7 +574,8 @@ def forest_regress_fit(
     min_leaf: int = 2,
     threads: int = 1,
 ) -> ForestModel:
-    """Bagged regression trees; splits minimize within-node squared error."""
+    """Bagged regression trees; splits minimize within-node squared error.
+    ``threads`` must be at least 1 and has no effect."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0 or y.shape != (x.shape[0],):

@@ -271,17 +271,6 @@ def _activation_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return s * (1.0 - s)
 
 
-def _snapshot(model: MlpModel) -> MlpModel:
-    return MlpModel(
-        model.layer_sizes,
-        [w.copy() for w in model.weights],
-        [b.copy() for b in model.biases],
-        model.activation,
-        model.dropout_rate,
-        copy.deepcopy(model.batchnorm),
-    )
-
-
 def mlp_train(
     model: MlpModel,
     train: LabeledDataset,
@@ -347,10 +336,10 @@ def mlp_train(
         result.val_accuracy.append(float((np.argmax(val_probs, axis=1) == val.labels).mean()))
         if va_loss < best_loss:
             best_loss = va_loss
-            best = _snapshot(model)
+            best = copy.deepcopy(model)
             result.best_epoch = epoch
 
-    result.model = best if best is not None else _snapshot(model)
+    result.model = best if best is not None else copy.deepcopy(model)
     return result
 
 

@@ -346,15 +346,14 @@ class TuningResult:
         return self.ranked[0]
 
 
-def fit_config(config: ForestConfig | SvmConfig, dataset: LabeledDataset, seed: int,
-               threads: int = 1) -> ForestModel | SvmModel:
+def fit_config(config: ForestConfig | SvmConfig, dataset: LabeledDataset, seed: int) -> ForestModel | SvmModel:
     """The model a forest or SVM configuration fits to a dataset.
 
-    SVMs need binary labels and code class 0 (blocker) as +1; ``seed`` and
-    ``threads`` reach forests only.
+    SVMs need binary labels and code class 0 (blocker) as +1; ``seed``
+    reaches forests only.
     """
     if isinstance(config, ForestConfig):
-        return forest_fit(dataset, config.n_estimators, seed=seed, threads=threads)
+        return forest_fit(dataset, config.n_estimators, seed=seed)
     if isinstance(config, SvmConfig):
         if len(dataset.class_names) != 2:
             raise InvalidInputError("SVM configurations need binary labels")

@@ -57,9 +57,17 @@ def smote(minority: np.ndarray, n_synthetic: int, k: int, seed: int) -> np.ndarr
     if n_synthetic == 0:
         return np.empty((0, minority.shape[1]))
 
-    # Each row's nearest others, ties to the lower index; a row is never its own neighbor.
-    order = np.argsort(_pairwise_distances(minority, minority), axis=1, kind="stable")
-    neighbors = order[order != np.arange(m)[:, None]].reshape(m, m - 1)[:, :k]
+    # Each row's k nearest others, ties to the lower index; a row is never
+    # its own neighbor. Column j of ``others`` is row j + (j >= i). Only the
+    # distances up to a row's k-th smallest can be among its first k (all of
+    # them when the k-th is NaN, which sorts last), so only those are sorted.
+    others = _pairwise_distances(minority, minority)[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    kth = np.partition(others, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero((others <= kth) | np.isnan(kth))
+    ranked = np.lexsort((others[rows, cols], rows))  # stable: by row, then distance, then column
+    held = np.bincount(rows, minlength=m)
+    cols = cols[ranked[(np.cumsum(held) - held)[:, None] + np.arange(k)]]
+    neighbors = cols + (cols >= np.arange(m)[:, None])
 
     rng = np.random.default_rng(seed)
     out = np.empty((n_synthetic, minority.shape[1]))

@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import io
 import json
@@ -401,12 +400,7 @@ class TestTrain:
         assert main(["train", "--descriptors", "x.csv"]) == 1  # missing --compounds
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_thread_count_below_one_is_usage_error(self, trained, tmp_path, monkeypatch, capsys, threads):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        # The grower imports the pool only when it starts one.
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    def test_thread_count_below_one_is_usage_error(self, trained, tmp_path, capsys, threads):
         code = main(
             [
                 "train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
@@ -948,11 +942,19 @@ def test_undecodable_input_exits_with_its_code(trained, tmp_path, capsys, comman
     assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte offset {offset}: invalid continuation byte\n"
 
 
-def test_import_leaves_thread_pool_unloaded():
-    # Every command imports the CLI; only a forest fit with --threads > 1
-    # needs concurrent.futures (and the logging, queue and traceback it loads).
+def test_import_leaves_thread_pool_unloaded(trained, tmp_path):
+    # Training runs in one thread whatever --threads says, so neither the
+    # import nor a train run loads concurrent.futures (and the logging,
+    # queue and traceback it loads).
     src = Path(cli_module.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, cardiotox.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = (
+        "import sys, cardiotox.cli; loaded = 'concurrent.futures' in sys.modules; "
+        "code = cardiotox.cli.main(sys.argv[1:]); print(loaded, code, 'concurrent.futures' in sys.modules)"
+    )
+    argv = [
+        "train", "--descriptors", str(trained["descriptors"]), "--compounds", str(trained["compounds"]),
+        "--target", "herg", "--grid", "quick", "--folds", "3", "--threads", "4", "--out", str(tmp_path),
+    ]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False 0 False"

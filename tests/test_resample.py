@@ -57,6 +57,14 @@ class TestSmote:
         got = smote(minority, 3 * minority.shape[0], k, seed)
         assert np.array_equal(got, reference_smote(minority, 3 * minority.shape[0], k, seed))
 
+    def test_overflowing_distances_never_pick_the_row_itself(self):
+        # Squared distances overflow to inf - inf = NaN everywhere, the row's own included.
+        minority = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = smote(minority, 20, 3, seed=4)
+            assert np.array_equal(got, reference_smote(minority, 20, 3, seed=4))
+        assert not np.any(got == minority[np.arange(20) % 5])
+
     def test_two_point_segment(self):
         minority = np.array([[0.0, 0.0], [1.0, 1.0]])
         out = smote(minority, 5, k=1, seed=0)
